@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "autograd/memory_planner.h"
+#include "linalg/kernels/grain.h"
 #include "linalg/kernels/kernels.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace aneci::ag {
 namespace {
@@ -154,12 +157,13 @@ VarPtr AddRowBroadcast(const VarPtr& x, const VarPtr& bias) {
 
 namespace {
 
-VarPtr ElementwiseOp(const VarPtr& x, const std::function<double(double)>& f,
-                     std::function<Matrix(const Variable&)> grad_from_self) {
+template <typename F, typename G>
+VarPtr ElementwiseOp(const VarPtr& x, F f, G grad_from_self) {
   Matrix value = x->value();
   value.Apply(f);
   return MakeOp({x}, std::move(value),
-                [x, grad_from_self](Variable& self) {
+                [x, grad_from_self = std::move(grad_from_self)](
+                    Variable& self) {
                   if (x->requires_grad())
                     x->AccumulateGrad(grad_from_self(self));
                 });
@@ -551,47 +555,106 @@ VarPtr GraphAttention(const SparseMatrix* adj, const VarPtr& h,
       });
 }
 
-VarPtr InnerProductPairBce(const VarPtr& p,
-                           const std::vector<PairTarget>& pairs) {
-  const Matrix& pm = p->value();
-  const int k = pm.cols();
-  auto softplus = [](double x) {
-    // log(1 + e^x), overflow-safe.
-    return x > 30.0 ? x : std::log1p(std::exp(x));
-  };
-  double loss = 0.0;
+std::shared_ptr<const PairSet> PairSet::Build(std::vector<PairTarget> pairs,
+                                              int num_rows) {
+  ANECI_CHECK_GE(num_rows, 0);
+  ANECI_CHECK_LE(pairs.size(),
+                 static_cast<size_t>(std::numeric_limits<int>::max()));
+  std::shared_ptr<PairSet> set(new PairSet());
+  set->num_rows_ = num_rows;
+  // Counting sort by row: count both endpoints of every pair, prefix-sum,
+  // then place the entries in pair order, so each row's list ascends by
+  // pair index and a self-pair's u side lands before its v side.
+  std::vector<int64_t>& row_ptr = set->row_ptr_;
+  row_ptr.assign(static_cast<size_t>(num_rows) + 1, 0);
   for (const PairTarget& pt : pairs) {
-    ANECI_DCHECK(pt.u >= 0 && pt.u < pm.rows());
-    ANECI_DCHECK(pt.v >= 0 && pt.v < pm.rows());
-    double d = 0.0;
-    const double* a = pm.RowPtr(pt.u);
-    const double* b = pm.RowPtr(pt.v);
-    for (int c = 0; c < k; ++c) d += a[c] * b[c];
-    // BCE(sigmoid(d), t) = softplus(d) - t * d.
-    loss += softplus(d) - pt.target * d;
+    ANECI_CHECK_MSG(
+        pt.u >= 0 && pt.u < num_rows && pt.v >= 0 && pt.v < num_rows,
+        "pair endpoint outside [0, num_rows)");
+    ++row_ptr[pt.u + 1];
+    ++row_ptr[pt.v + 1];
   }
-  return MakeOp({p}, Scalar(loss), [p, pairs](Variable& self) {
-    if (!p->requires_grad()) return;
-    const double g = self.grad()(0, 0);
-    const Matrix& pm = p->value();
-    const int k = pm.cols();
-    Matrix dp = AcquireGradZeroed(pm.rows(), pm.cols());
-    for (const PairTarget& pt : pairs) {
+  for (int r = 0; r < num_rows; ++r) row_ptr[r + 1] += row_ptr[r];
+  std::vector<int64_t> next(row_ptr.begin(), row_ptr.end() - 1);
+  set->incidence_.resize(2 * pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const int idx = static_cast<int>(i);
+    set->incidence_[next[pairs[i].u]++] = {idx, pairs[i].v};
+    set->incidence_[next[pairs[i].v]++] = {idx, pairs[i].u};
+  }
+  set->pairs_ = std::move(pairs);
+  return set;
+}
+
+namespace {
+
+// Pairs per chunk of the pair-parallel pass. Grain never changes results:
+// every pair writes only its own slots.
+constexpr int64_t kPairGrain = 1024;
+
+// log(1 + e^x), overflow-safe.
+double Softplus(double x) { return x > 30.0 ? x : std::log1p(std::exp(x)); }
+
+}  // namespace
+
+// Forward: a pair-parallel pass writes each pair's loss term and its
+// residual sigmoid(d) - t, then one serial pass sums the terms in pair
+// order. Backward: a row-parallel gather along the incidence index gives
+// row r the additions g * residual * P[other] that a serial scatter over
+// the pairs would make to it, in the same order. Both therefore match the
+// serial loops bit for bit at any thread count.
+VarPtr InnerProductPairBce(const VarPtr& p,
+                           std::shared_ptr<const PairSet> pairs) {
+  ANECI_CHECK(pairs != nullptr);
+  const Matrix& pm = p->value();
+  ANECI_CHECK_EQ(pairs->num_rows(), pm.rows());
+  const int k = pm.cols();
+  const int m = static_cast<int>(pairs->size());
+  const bool needs_grad = p->requires_grad();
+  const PairTarget* pt = pairs->pairs().data();
+  Matrix terms = AcquireGradUninit(m, 1);
+  Matrix resid = needs_grad ? AcquireGradUninit(m, 1) : Matrix();
+  ParallelFor(0, m, kPairGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const double* a = pm.RowPtr(pt[i].u);
+      const double* b = pm.RowPtr(pt[i].v);
       double d = 0.0;
-      const double* a = pm.RowPtr(pt.u);
-      const double* b = pm.RowPtr(pt.v);
       for (int c = 0; c < k; ++c) d += a[c] * b[c];
-      const double s = 1.0 / (1.0 + std::exp(-d));
-      const double coeff = g * (s - pt.target);
-      double* du = dp.RowPtr(pt.u);
-      double* dv = dp.RowPtr(pt.v);
-      for (int c = 0; c < k; ++c) {
-        du[c] += coeff * b[c];
-        dv[c] += coeff * a[c];
-      }
+      // BCE(sigmoid(d), t) = softplus(d) - t * d.
+      terms.data()[i] = Softplus(d) - pt[i].target * d;
+      if (needs_grad)
+        resid.data()[i] = 1.0 / (1.0 + std::exp(-d)) - pt[i].target;
     }
-    p->AccumulateGrad(std::move(dp));
   });
+  double loss = 0.0;
+  for (int i = 0; i < m; ++i) loss += terms.data()[i];
+  ReleaseGrad(std::move(terms));
+  return MakeOp(
+      {p}, Scalar(loss),
+      [p, pairs = std::move(pairs), resid = std::move(resid)](Variable& self) {
+        if (!p->requires_grad()) return;
+        const double g = self.grad()(0, 0);
+        const Matrix& pm = p->value();
+        const int rows = pm.rows(), k = pm.cols();
+        const double* res = resid.data();
+        Matrix dp = AcquireGradUninit(rows, k);
+        const int64_t grain =
+            kernels::SpmmRowGrain(rows, 2 * pairs->size(), k);
+        ParallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
+          for (int64_t r = lo; r < hi; ++r) {
+            const int row = static_cast<int>(r);
+            double* dr = dp.RowPtr(row);
+            std::fill(dr, dr + k, 0.0);
+            for (const PairSet::Incidence* e = pairs->RowBegin(row);
+                 e != pairs->RowEnd(row); ++e) {
+              const double coeff = g * res[e->pair];
+              const double* o = pm.RowPtr(e->other);
+              for (int c = 0; c < k; ++c) dr[c] += coeff * o[c];
+            }
+          }
+        });
+        p->AccumulateGrad(std::move(dp));
+      });
 }
 
 }  // namespace aneci::ag

@@ -5,6 +5,7 @@
 #ifndef ANECI_AUTOGRAD_OPS_H_
 #define ANECI_AUTOGRAD_OPS_H_
 
+#include <memory>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -97,11 +98,53 @@ struct PairTarget {
   double target;  ///< In [0, 1].
 };
 
+/// An immutable set of sampled pairs plus a CSR row-incidence index: for
+/// each row r, the pairs with u == r or v == r, in increasing pair index (a
+/// self-pair u == v is listed twice, its u side first). The index lets the
+/// pair loss gather each gradient row independently, adding exactly what a
+/// serial scatter over the pairs would add, in the same order. Building it
+/// costs O(pairs + rows); build once per set of pairs and share the pointer
+/// across epochs.
+class PairSet {
+ public:
+  /// One index entry: a pair, and its endpoint on the other side of the row.
+  struct Incidence {
+    int pair;
+    int other;
+  };
+
+  /// Aborts (ANECI_CHECK) on an endpoint outside [0, num_rows).
+  static std::shared_ptr<const PairSet> Build(std::vector<PairTarget> pairs,
+                                              int num_rows);
+
+  const std::vector<PairTarget>& pairs() const { return pairs_; }
+  int64_t size() const { return static_cast<int64_t>(pairs_.size()); }
+  int num_rows() const { return num_rows_; }
+
+  /// Row r's entries are [RowBegin(r), RowEnd(r)).
+  const Incidence* RowBegin(int r) const {
+    return incidence_.data() + row_ptr_[r];
+  }
+  const Incidence* RowEnd(int r) const {
+    return incidence_.data() + row_ptr_[r + 1];
+  }
+
+ private:
+  PairSet() = default;
+
+  int num_rows_ = 0;
+  std::vector<PairTarget> pairs_;
+  std::vector<int64_t> row_ptr_;  ///< num_rows + 1 offsets into incidence_.
+  std::vector<Incidence> incidence_;
+};
+
 /// Sum over pairs of BCE(sigmoid(p_u . p_v), target), computed in the
 /// numerically stable softplus form. This is the sampled equivalent of
 /// BinaryCrossEntropySum(sigmoid(P P^T), A~) used when N^2 is too large.
+/// `pairs` must index P's rows (num_rows == P.rows()). Forward and backward
+/// run on the thread pool and are bit-identical at every thread count.
 VarPtr InnerProductPairBce(const VarPtr& p,
-                           const std::vector<PairTarget>& pairs);
+                           std::shared_ptr<const PairSet> pairs);
 
 }  // namespace aneci::ag
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "attack/dice.h"
 #include "attack/random_attack.h"
@@ -177,9 +178,17 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
   const bool sampled_encoder =
       config_.encoder == EncoderMode::kSampledNeighbors;
 
+  // Freshly sampled (or restored) pairs wait in `pairs` until the top of
+  // the next epoch moves them into the indexed `pair_set`, so the index is
+  // built once per sample and set-up does not pay for it. Exactly one of
+  // the two holds the current pairs.
   std::vector<ag::PairTarget> pairs;
+  std::shared_ptr<const ag::PairSet> pair_set;
   if (!dense_recon)
     pairs = SampleReconstructionPairs(proximity, config_.negatives_per_node, rng);
+  auto current_pairs = [&]() -> const std::vector<ag::PairTarget>& {
+    return pair_set ? pair_set->pairs() : pairs;
+  };
 
   AneciResult result;
   double best_mod_loss = std::numeric_limits<double>::max();
@@ -213,8 +222,8 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
       c.opt_m.push_back(ToBlob(m));
     for (const Matrix& m : optimizer.second_moments())
       c.opt_v.push_back(ToBlob(m));
-    c.pairs.reserve(pairs.size());
-    for (const ag::PairTarget& p : pairs)
+    c.pairs.reserve(current_pairs().size());
+    for (const ag::PairTarget& p : current_pairs())
       c.pairs.push_back({p.u, p.v, p.target});
     c.history = result.history;
     return c;
@@ -262,6 +271,7 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     pairs.clear();
     pairs.reserve(c.pairs.size());
     for (const PairBlob& p : c.pairs) pairs.push_back({p.u, p.v, p.target});
+    pair_set.reset();
     result.history = c.history;
     return Status::OK();
   };
@@ -304,7 +314,10 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
         epoch % config_.resample_every == 0) {
       pairs =
           SampleReconstructionPairs(proximity, config_.negatives_per_node, rng);
+      pair_set.reset();
     }
+    if (!dense_recon && !pair_set)
+      pair_set = ag::PairSet::Build(std::move(pairs), n);
 
     // Adversarial inner step: rebuild the proximity target from a budgeted
     // edge-flip perturbation drawn from the dedicated stream. The encoder
@@ -318,8 +331,7 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     SparseMatrix adv_proximity;
     const SparseMatrix* target = &proximity;
     double target_scale = two_m_scale;
-    std::vector<ag::PairTarget> adv_pairs;
-    const std::vector<ag::PairTarget>* epoch_pairs = &pairs;
+    std::shared_ptr<const ag::PairSet> epoch_pairs = pair_set;
     if (adv_epoch) {
       const int flips = static_cast<int>(
           std::lround(adv.budget * graph.num_edges()));
@@ -336,9 +348,10 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
       target = &adv_proximity;
       target_scale = adv_proximity.SumAll();
       if (!dense_recon) {
-        adv_pairs = SampleReconstructionPairs(
-            adv_proximity, config_.negatives_per_node, adv_rng);
-        epoch_pairs = &adv_pairs;
+        epoch_pairs = ag::PairSet::Build(
+            SampleReconstructionPairs(adv_proximity,
+                                      config_.negatives_per_node, adv_rng),
+            n);
       }
     }
 
@@ -356,7 +369,7 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
                    ? GeneralizedModularityLoss(target, p)
                    : GeneralizedModularityMinLoss(target, p);
     VarPtr recon = dense_recon ? DenseReconstructionLoss(target, p)
-                               : SampledReconstructionLoss(p, *epoch_pairs);
+                               : SampledReconstructionLoss(p, epoch_pairs);
     // Balance the two objectives at O(N) magnitude each: Q~ carries a
     // 1/(2M~) normalisation that would otherwise make its gradient O(1/N^2)
     // against the pair-summed reconstruction, so the loss uses the

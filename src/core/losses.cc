@@ -199,8 +199,14 @@ std::vector<ag::PairTarget> SampleReconstructionPairs(
 }
 
 VarPtr SampledReconstructionLoss(const ag::VarPtr& p,
+                                 std::shared_ptr<const ag::PairSet> pairs) {
+  return ag::InnerProductPairBce(p, std::move(pairs));
+}
+
+VarPtr SampledReconstructionLoss(const ag::VarPtr& p,
                                  const std::vector<ag::PairTarget>& pairs) {
-  return ag::InnerProductPairBce(p, pairs);
+  return ag::InnerProductPairBce(p,
+                                 ag::PairSet::Build(pairs, p->value().rows()));
 }
 
 }  // namespace aneci

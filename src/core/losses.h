@@ -6,6 +6,7 @@
 #ifndef ANECI_CORE_LOSSES_H_
 #define ANECI_CORE_LOSSES_H_
 
+#include <memory>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -43,6 +44,12 @@ std::vector<ag::PairTarget> SampleReconstructionPairs(
     const SparseMatrix& proximity, int negatives_per_node, Rng& rng,
     bool binarize = false);
 
+/// Sampled L_R over an indexed pair set (ag::InnerProductPairBce). Build the
+/// set once per sample and reuse it across epochs.
+ag::VarPtr SampledReconstructionLoss(
+    const ag::VarPtr& p, std::shared_ptr<const ag::PairSet> pairs);
+
+/// Same, for pairs drawn per call: indexes `pairs` on every call.
 ag::VarPtr SampledReconstructionLoss(const ag::VarPtr& p,
                                      const std::vector<ag::PairTarget>& pairs);
 

@@ -39,23 +39,23 @@ Matrix Age::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   ag::Adam optimizer({w}, adam);
 
   // Initial training pairs: edges positive, random non-edges negative.
-  std::vector<ag::PairTarget> pairs;
-  auto seed_pairs = [&]() {
-    pairs.clear();
-    for (const Edge& e : graph.edges()) pairs.push_back({e.u, e.v, 1.0});
+  std::shared_ptr<const ag::PairSet> pairs;
+  {
+    std::vector<ag::PairTarget> seed;
+    for (const Edge& e : graph.edges()) seed.push_back({e.u, e.v, 1.0});
     for (int i = 0; i < n; ++i) {
       const int j = static_cast<int>(rng.NextInt(n));
-      if (i != j && !graph.HasEdge(i, j)) pairs.push_back({i, j, 0.0});
+      if (i != j && !graph.HasEdge(i, j)) seed.push_back({i, j, 0.0});
     }
-  };
-  seed_pairs();
+    pairs = ag::PairSet::Build(std::move(seed), n);
+  }
 
   Matrix final_z;
   for (int epoch = 0; epoch < opt.epochs; ++epoch) {
     optimizer.ZeroGrad();
     VarPtr z = ag::SpMM(&x_sparse, w);
     VarPtr loss = ag::Scale(ag::InnerProductPairBce(z, pairs),
-                            1.0 / static_cast<double>(pairs.size()));
+                            1.0 / static_cast<double>(pairs->size()));
     ag::Backward(loss);
     optimizer.Step();
     if (eo.observer != nullptr) eo.observer->OnEpoch(epoch, loss->value()(0, 0));
@@ -83,14 +83,15 @@ Matrix Age::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
                 [](const Cand& a, const Cand& b) { return a.sim > b.sim; });
       const size_t take =
           static_cast<size_t>(cands.size() * opt.select_fraction);
-      pairs.clear();
-      for (const Edge& e : graph.edges()) pairs.push_back({e.u, e.v, 1.0});
+      std::vector<ag::PairTarget> relabelled;
+      for (const Edge& e : graph.edges()) relabelled.push_back({e.u, e.v, 1.0});
       for (size_t i = 0; i < take && i < cands.size(); ++i)
-        pairs.push_back({cands[i].u, cands[i].v, 1.0});
+        relabelled.push_back({cands[i].u, cands[i].v, 1.0});
       for (size_t i = 0; i < take && i < cands.size(); ++i) {
         const Cand& c = cands[cands.size() - 1 - i];
-        pairs.push_back({c.u, c.v, 0.0});
+        relabelled.push_back({c.u, c.v, 0.0});
       }
+      pairs = ag::PairSet::Build(std::move(relabelled), n);
     }
     if (epoch == opt.epochs - 1) final_z = z->value();
   }

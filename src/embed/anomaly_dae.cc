@@ -40,9 +40,10 @@ void AnomalyDae::Run(const Graph& graph, const EmbedOptions& eo,
   adam.lr = opt.lr;
   ag::Adam optimizer({ws_a, ws_x, ws2, wa}, adam);
 
-  std::vector<ag::PairTarget> pairs =
+  const auto pairs = ag::PairSet::Build(
       SampleReconstructionPairs(a_norm, opt.negatives_per_node, rng,
-                                /*binarize=*/true);
+                                /*binarize=*/true),
+      n);
 
   Matrix z_final, xhat_final;
   for (int epoch = 0; epoch < opt.epochs; ++epoch) {
@@ -53,7 +54,7 @@ void AnomalyDae::Run(const Graph& graph, const EmbedOptions& eo,
     VarPtr xhat = ag::MatMul(z, wa);
 
     VarPtr l_struct = ag::Scale(ag::InnerProductPairBce(z, pairs),
-                                1.0 / static_cast<double>(pairs.size()));
+                                1.0 / static_cast<double>(pairs->size()));
     VarPtr l_attr = ag::Scale(
         ag::SumSquares(ag::Sub(xhat, ag::MakeConstant(features))),
         1.0 / static_cast<double>(features.size()));
@@ -73,7 +74,7 @@ void AnomalyDae::Run(const Graph& graph, const EmbedOptions& eo,
   if (scores != nullptr) {
     std::vector<double> err_s(n, 0.0), err_a(n, 0.0);
     std::vector<int> cnt(n, 0);
-    for (const ag::PairTarget& pt : pairs) {
+    for (const ag::PairTarget& pt : pairs->pairs()) {
       double d = 0.0;
       const double* a = z_final.RowPtr(pt.u);
       const double* b = z_final.RowPtr(pt.v);

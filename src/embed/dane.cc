@@ -44,14 +44,16 @@ Matrix Dane::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   ag::Adam optimizer({ws1, ws2, wa1, wa2, wdec}, adam);
 
   Matrix final_out;
-  std::vector<ag::PairTarget> pairs =
+  auto pairs = ag::PairSet::Build(
       SampleReconstructionPairs(proximity, opt.negatives_per_node, rng,
-                                /*binarize=*/true);
+                                /*binarize=*/true),
+      n);
 
   for (int epoch = 0; epoch < opt.epochs; ++epoch) {
     if (epoch % 25 == 24)
-      pairs = SampleReconstructionPairs(proximity, opt.negatives_per_node,
-                                        rng);
+      pairs = ag::PairSet::Build(
+          SampleReconstructionPairs(proximity, opt.negatives_per_node, rng),
+          n);
     optimizer.ZeroGrad();
 
     VarPtr zs = ag::MatMul(
@@ -64,7 +66,7 @@ Matrix Dane::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
     // within the epoch budget; the attribute and consistency terms are
     // scaled to the same per-node magnitude.
     VarPtr l_struct = ag::InnerProductPairBce(zs, pairs);
-    const double per_node = static_cast<double>(pairs.size()) / n;
+    const double per_node = static_cast<double>(pairs->size()) / n;
     VarPtr xhat = ag::MatMul(za, wdec);
     VarPtr l_attr = ag::Scale(
         ag::SumSquares(ag::Sub(xhat, ag::MakeConstant(features))),

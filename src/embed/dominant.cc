@@ -37,9 +37,10 @@ void Dominant::Run(const Graph& graph, const EmbedOptions& eo,
   adam.lr = opt.lr;
   ag::Adam optimizer({w1, w2, w3}, adam);
 
-  std::vector<ag::PairTarget> pairs =
+  const auto pairs = ag::PairSet::Build(
       SampleReconstructionPairs(a_target, opt.negatives_per_node, rng,
-                                /*binarize=*/true);
+                                /*binarize=*/true),
+      n);
 
   Matrix z_final, xhat_final;
   for (int epoch = 0; epoch < opt.epochs; ++epoch) {
@@ -49,7 +50,7 @@ void Dominant::Run(const Graph& graph, const EmbedOptions& eo,
     VarPtr xhat = ag::SpMM(&s_norm, ag::MatMul(z, w3));
 
     VarPtr l_struct = ag::Scale(ag::InnerProductPairBce(z, pairs),
-                                1.0 / static_cast<double>(pairs.size()));
+                                1.0 / static_cast<double>(pairs->size()));
     VarPtr l_attr = ag::Scale(
         ag::SumSquares(ag::Sub(xhat, ag::MakeConstant(features))),
         1.0 / static_cast<double>(features.size()));
@@ -71,7 +72,7 @@ void Dominant::Run(const Graph& graph, const EmbedOptions& eo,
     // Structure error: mean residual over the node's decoder pairs.
     std::vector<double> err_s(n, 0.0);
     std::vector<int> cnt(n, 0);
-    for (const ag::PairTarget& pt : pairs) {
+    for (const ag::PairTarget& pt : pairs->pairs()) {
       double d = 0.0;
       const double* a = z_final.RowPtr(pt.u);
       const double* b = z_final.RowPtr(pt.v);

@@ -104,9 +104,14 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
   ag::Adam optimizer(enc_params, adam);
   ag::Adam disc_optimizer({wdisc}, adam);
 
-  std::vector<ag::PairTarget> pairs =
+  const auto pairs = ag::PairSet::Build(
       SampleReconstructionPairs(a_norm, opt.negatives_per_node, rng,
-                                /*binarize=*/true);
+                                /*binarize=*/true),
+      n);
+  std::vector<ag::PairTarget> edge_list;
+  edge_list.reserve(graph.num_edges());
+  for (const Edge& e : graph.edges()) edge_list.push_back({e.u, e.v, 1.0});
+  const auto edge_pairs = ag::PairSet::Build(std::move(edge_list), n);
   std::vector<double> weights(n, 1.0);
 
   Matrix zs_final, za_final, xhat_final;
@@ -119,7 +124,7 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
     // Structure reconstruction (outlier-weighted through the pair targets is
     // approximated by node weights on the homophily + attribute terms).
     VarPtr l_struct = ag::InnerProductPairBce(zs, pairs);
-    const double per_node = static_cast<double>(pairs.size()) / n;
+    const double per_node = static_cast<double>(pairs->size()) / n;
 
     // Attribute reconstruction, weighted per node by the outlier weights.
     VarPtr xhat = ag::MatMul(za, wdec);
@@ -136,9 +141,6 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
         per_node * n / static_cast<double>(features.size()));
 
     // Homophily: neighbours should embed closely in both views.
-    std::vector<ag::PairTarget> edge_pairs;
-    edge_pairs.reserve(graph.num_edges());
-    for (const Edge& e : graph.edges()) edge_pairs.push_back({e.u, e.v, 1.0});
     VarPtr l_hom = ag::Scale(
         ag::Add(ag::InnerProductPairBce(zs, edge_pairs),
                 ag::InnerProductPairBce(za, edge_pairs)),
@@ -177,7 +179,7 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
     if (opt.reweight_every > 0 &&
         (epoch + 1) % opt.reweight_every == 0) {
       std::vector<double> err_a = RowSquaredErrors(xhat->value(), features);
-      std::vector<double> err_s = PairErrors(zs->value(), pairs);
+      std::vector<double> err_s = PairErrors(zs->value(), pairs->pairs());
       std::vector<double> combined(n);
       for (int i = 0; i < n; ++i) combined[i] = err_a[i] + err_s[i];
       weights = ErrorsToWeights(combined);
@@ -202,7 +204,7 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
   if (scores != nullptr) {
     // Anomaly score: normalised sum of structure + attribute recon errors.
     std::vector<double> err_a = RowSquaredErrors(xhat_final, features);
-    std::vector<double> err_s = PairErrors(zs_final, pairs);
+    std::vector<double> err_s = PairErrors(zs_final, pairs->pairs());
     const auto norm = [](std::vector<double>& v) {
       double mx = 1e-12;
       for (double x : v) mx = std::max(mx, x);

@@ -47,7 +47,7 @@ Matrix Gae::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
         pairs.push_back({a, b, 0.0});
       }
     }
-    return pairs;
+    return ag::PairSet::Build(std::move(pairs), n);
   };
 
   Matrix final_z;

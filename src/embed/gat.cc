@@ -109,7 +109,7 @@ Matrix Gate::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
         if (a != b && !graph.HasEdge(a, b)) pairs.push_back({a, b, 0.0});
       }
     }
-    return pairs;
+    return ag::PairSet::Build(std::move(pairs), n);
   };
 
   Matrix final_z;

@@ -64,7 +64,8 @@ Matrix GraphSage::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
       }
     }
 
-    VarPtr loss = ag::InnerProductPairBce(h, pairs);
+    VarPtr loss =
+        ag::InnerProductPairBce(h, ag::PairSet::Build(std::move(pairs), n));
     ag::Backward(loss);
     optimizer.Step();
     if (eo.observer != nullptr) eo.observer->OnEpoch(epoch, loss->value()(0, 0));

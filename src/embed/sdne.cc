@@ -32,12 +32,13 @@ Matrix Sdne::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   // Second-order loss via inner-product reconstruction with beta-weighted
   // positives: each observed link appears beta times as strongly as a
   // sampled non-link (SDNE's B-matrix weighting, in pair-sampled form).
-  std::vector<ag::PairTarget> pairs =
-      SampleReconstructionPairs(a_norm, opt.negatives_per_node, rng,
-                                /*binarize=*/true);
-  std::vector<ag::PairTarget> weighted;
-  weighted.reserve(pairs.size());
-  for (const ag::PairTarget& pt : pairs) weighted.push_back(pt);
+  std::vector<ag::PairTarget> positive_pairs, negative_pairs;
+  for (const ag::PairTarget& pt :
+       SampleReconstructionPairs(a_norm, opt.negatives_per_node, rng,
+                                 /*binarize=*/true))
+    (pt.target > 0.0 ? positive_pairs : negative_pairs).push_back(pt);
+  const auto positives = ag::PairSet::Build(std::move(positive_pairs), n);
+  const auto negatives = ag::PairSet::Build(std::move(negative_pairs), n);
 
   // First-order pairs: the graph's edges.
   std::vector<int> edge_u, edge_v;
@@ -55,10 +56,6 @@ Matrix Sdne::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
 
     // L2nd: positives repeated with weight beta via Scale on a separate
     // positive-only loss (equivalent to the B weighting).
-    std::vector<ag::PairTarget> positives, negatives;
-    for (const ag::PairTarget& pt : weighted) {
-      (pt.target > 0.0 ? positives : negatives).push_back(pt);
-    }
     VarPtr l2nd =
         ag::Add(ag::Scale(ag::InnerProductPairBce(h, positives), opt.beta),
                 ag::InnerProductPairBce(h, negatives));

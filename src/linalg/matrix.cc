@@ -70,10 +70,6 @@ void Matrix::HadamardInPlace(const Matrix& other) {
   for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
 }
 
-void Matrix::Apply(const std::function<double(double)>& f) {
-  for (double& v : data_) v = f(v);
-}
-
 std::vector<double> Matrix::Row(int r) const {
   return std::vector<double>(RowPtr(r), RowPtr(r) + cols_);
 }

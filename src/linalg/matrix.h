@@ -5,8 +5,9 @@
 #ifndef ANECI_LINALG_MATRIX_H_
 #define ANECI_LINALG_MATRIX_H_
 
-#include <functional>
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -95,8 +96,12 @@ class Matrix {
   /// Elementwise product, in place.
   void HadamardInPlace(const Matrix& other);
 
-  /// Applies f to every entry, in place.
-  void Apply(const std::function<double(double)>& f);
+  /// Applies f (callable as double(double)) to every entry, in place. A
+  /// template, so the call inlines into the loop.
+  template <typename F>
+  void Apply(F&& f) {
+    for (double& v : data_) v = f(v);
+  }
 
   /// Row `r` as a copy.
   std::vector<double> Row(int r) const;

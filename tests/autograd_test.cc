@@ -177,8 +177,8 @@ TEST(Autograd, SelectRowsGradient) {
 
 TEST(Autograd, InnerProductPairBceGradient) {
   auto p = Param(5, 3, 27);
-  std::vector<PairTarget> pairs = {
-      {0, 1, 1.0}, {2, 3, 0.0}, {1, 4, 0.7}, {0, 0, 1.0}};
+  const auto pairs = PairSet::Build(
+      {{0, 1, 1.0}, {2, 3, 0.0}, {1, 4, 0.7}, {0, 0, 1.0}}, 5);
   ExpectGradOk(p, [&] { return InnerProductPairBce(p, pairs); });
 }
 
@@ -194,7 +194,8 @@ TEST(Autograd, InnerProductPairBceMatchesDenseFormula) {
     const double s = 1.0 / (1.0 + std::exp(-d));
     expected -= pt.target * std::log(s) + (1 - pt.target) * std::log(1 - s);
   }
-  EXPECT_NEAR(InnerProductPairBce(p, pairs)->value()(0, 0), expected, 1e-9);
+  EXPECT_NEAR(InnerProductPairBce(p, PairSet::Build(pairs, 4))->value()(0, 0),
+              expected, 1e-9);
 }
 
 TEST(Autograd, GraphAttentionGradients) {

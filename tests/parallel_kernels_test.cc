@@ -6,14 +6,23 @@
 // partials in a fixed chunk order independent of the thread count.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/tsne.h"
+#include "autograd/ops.h"
+#include "core/aneci.h"
+#include "data/sbm.h"
 #include "graph/proximity.h"
 #include "linalg/kmeans.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
+#include "util/checkpoint.h"
+#include "util/env.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -243,6 +252,229 @@ TEST(ParallelKernels, EnvThreadSettingOneForcesSerialPath) {
       for (int k = 0; k < 9; ++k) s += a(i, k) * b(k, j);
       EXPECT_NEAR(c(i, j), s, 1e-12);
     }
+}
+
+// --- Sampled pair loss -----------------------------------------------------
+
+struct PairBceResult {
+  double loss = 0.0;
+  Matrix grad;
+};
+
+// Oracle: the serial InnerProductPairBce forward and backward loops from
+// before the op ran on the pool, verbatim, with the upstream gradient `g`.
+PairBceResult SerialPairBce(const Matrix& pm,
+                            const std::vector<ag::PairTarget>& pairs,
+                            double g) {
+  using ag::PairTarget;
+  PairBceResult out;
+  {
+    const int k = pm.cols();
+    auto softplus = [](double x) {
+      // log(1 + e^x), overflow-safe.
+      return x > 30.0 ? x : std::log1p(std::exp(x));
+    };
+    double loss = 0.0;
+    for (const PairTarget& pt : pairs) {
+      double d = 0.0;
+      const double* a = pm.RowPtr(pt.u);
+      const double* b = pm.RowPtr(pt.v);
+      for (int c = 0; c < k; ++c) d += a[c] * b[c];
+      // BCE(sigmoid(d), t) = softplus(d) - t * d.
+      loss += softplus(d) - pt.target * d;
+    }
+    out.loss = loss;
+  }
+  {
+    const int k = pm.cols();
+    Matrix dp(pm.rows(), pm.cols());
+    for (const PairTarget& pt : pairs) {
+      double d = 0.0;
+      const double* a = pm.RowPtr(pt.u);
+      const double* b = pm.RowPtr(pt.v);
+      for (int c = 0; c < k; ++c) d += a[c] * b[c];
+      const double s = 1.0 / (1.0 + std::exp(-d));
+      const double coeff = g * (s - pt.target);
+      double* du = dp.RowPtr(pt.u);
+      double* dv = dp.RowPtr(pt.v);
+      for (int c = 0; c < k; ++c) {
+        du[c] += coeff * b[c];
+        dv[c] += coeff * a[c];
+      }
+    }
+    out.grad = std::move(dp);
+  }
+  return out;
+}
+
+// Unsorted random pairs over the first `used_rows` of `rows` (the rest get
+// no pairs), with duplicates, self-pairs and fractional targets mixed in.
+std::vector<ag::PairTarget> RandomPairs(int num_pairs, int used_rows,
+                                        Rng& rng) {
+  std::vector<ag::PairTarget> pairs;
+  for (int i = 0; i < num_pairs; ++i) {
+    const int u = static_cast<int>(rng.NextInt(used_rows));
+    const int v = rng.NextBool(0.05) ? u
+                                     : static_cast<int>(rng.NextInt(used_rows));
+    const double t = rng.NextBool(0.5) ? 0.0 : rng.Uniform(0.0, 1.0);
+    pairs.push_back({u, v, t});
+    if (rng.NextBool(0.05)) pairs.push_back(pairs.back());  // Duplicate.
+  }
+  return pairs;
+}
+
+TEST(ParallelKernels, PairBceMatchesSerialLoopBitwise) {
+  constexpr double kUpstream = 0.37;
+  const int kThreads[] = {1, 2, 7};
+  Rng rng(110);
+  for (int k : {1, 5, 16}) {
+    for (int num_pairs : {0, 7, 9000}) {
+      const int rows = 1300, used_rows = 1200;
+      Matrix pm = Matrix::RandomNormal(rows, k, 1.5, rng);
+      // A few large rows push p_u . p_v past softplus's linear cutoff.
+      for (int c = 0; c < k; ++c) pm(3, c) = 40.0 / std::sqrt(k);
+      std::vector<ag::PairTarget> pairs = RandomPairs(num_pairs, used_rows, rng);
+      if (num_pairs > 0) pairs.push_back({3, 3, 1.0});
+      const PairBceResult want = SerialPairBce(pm, pairs, kUpstream);
+      const auto set = ag::PairSet::Build(pairs, rows);
+      for (int threads : kThreads) {
+        ScopedNumThreads guard(threads);
+        auto p = ag::MakeParameter(pm);
+        ag::VarPtr loss = ag::InnerProductPairBce(p, set);
+        ag::Backward(ag::Scale(loss, kUpstream));
+        const double got = loss->value()(0, 0);
+        EXPECT_EQ(std::memcmp(&got, &want.loss, sizeof(double)), 0)
+            << "k=" << k << " pairs=" << num_pairs << " threads=" << threads;
+        ExpectBitEqual(p->grad(), want.grad, "InnerProductPairBce gradient");
+      }
+    }
+  }
+}
+
+TEST(ParallelKernels, PairSetIndexListsEachRowsPairsInOrder) {
+  // Pair 1 is a self-pair: row 2 lists it twice, u side first.
+  const auto set =
+      ag::PairSet::Build({{2, 0, 1.0}, {2, 2, 0.5}, {1, 2, 0.0}}, 4);
+  auto row = [&](int r) {
+    std::vector<std::pair<int, int>> out;
+    for (const auto* e = set->RowBegin(r); e != set->RowEnd(r); ++e)
+      out.push_back({e->pair, e->other});
+    return out;
+  };
+  using Entries = std::vector<std::pair<int, int>>;
+  EXPECT_EQ(row(0), (Entries{{0, 2}}));
+  EXPECT_EQ(row(1), (Entries{{2, 2}}));
+  EXPECT_EQ(row(2), (Entries{{0, 0}, {1, 2}, {1, 2}, {2, 1}}));
+  EXPECT_EQ(row(3), Entries{});
+  EXPECT_EQ(set->size(), 3);
+}
+
+TEST(ParallelKernelsDeathTest, PairSetRejectsEndpointOutsideRows) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(ag::PairSet::Build({{0, 3, 1.0}}, 3), "outside");
+  EXPECT_DEATH(ag::PairSet::Build({{-1, 0, 1.0}}, 3), "outside");
+}
+
+Graph AttributedSbm(uint64_t seed) {
+  SbmOptions opt;
+  opt.num_nodes = 120;
+  opt.num_classes = 3;
+  opt.num_edges = 360;
+  opt.intra_fraction = 0.9;
+  opt.attribute_dim = 20;
+  opt.words_per_node = 6;
+  opt.topic_words_per_class = 8;
+  Rng rng(seed);
+  return GenerateSbm(opt, rng);
+}
+
+// Every loss the epoch callback saw, including epochs later rolled back.
+struct SampledRun {
+  std::vector<double> seen;
+  std::vector<double> history;
+  Matrix p;
+};
+
+// Sampled-mode AnECI with a resample at epoch 7 and a forced NaN at epoch
+// 7, which rolls back to the epoch-6 snapshot taken before the resample.
+SampledRun TrainSampled(int epochs, const std::string& checkpoint_dir,
+                        bool resume) {
+  AneciConfig cfg;
+  cfg.hidden_dim = 16;
+  cfg.embed_dim = 16;
+  cfg.epochs = epochs;
+  cfg.proximity.order = 2;
+  cfg.reconstruction = ReconstructionMode::kSampled;
+  cfg.negatives_per_node = 3;
+  cfg.resample_every = 7;
+  cfg.watchdog.snapshot_every = 2;
+  auto fired = std::make_shared<bool>(false);
+  cfg.divergence_fault_hook = [fired](int epoch) {
+    if (epoch != 7 || *fired) return false;
+    *fired = true;
+    return true;
+  };
+  if (!checkpoint_dir.empty()) {
+    cfg.checkpoint_dir = checkpoint_dir;
+    cfg.checkpoint_every = 3;
+    if (resume) cfg.resume_from = checkpoint_dir;
+  }
+  SampledRun run;
+  StatusOr<AneciResult> result = Aneci(cfg).TrainWithResilience(
+      AttributedSbm(7), [&](const AneciEpochStats& s, const Matrix&,
+                            const Matrix&) { run.seen.push_back(s.loss); });
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return run;
+  for (const AneciEpochStats& s : result.value().history)
+    run.history.push_back(s.loss);
+  run.p = result.value().p;
+  return run;
+}
+
+void ExpectSameLosses(const std::vector<double>& a,
+                      const std::vector<double>& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(std::memcmp(&a[i], &b[i], sizeof(double)), 0)
+        << what << ": loss " << i << " differs";
+}
+
+TEST(ParallelKernels, AneciSampledLossHistoryMatchesAcrossThreadsAndResume) {
+  SampledRun serial;
+  {
+    ScopedNumThreads guard(1);
+    serial = TrainSampled(12, "", false);
+  }
+  // Epochs 0-6, the rolled-back retry from 6, then 7-11.
+  ASSERT_EQ(serial.seen.size(), 13u);
+  ASSERT_EQ(serial.history.size(), 12u);
+  // The retried epoch 6 must score the restored pre-resample pairs again.
+  EXPECT_EQ(std::memcmp(&serial.seen[6], &serial.seen[7], sizeof(double)), 0);
+
+  for (int threads : {4, 7}) {
+    ScopedNumThreads guard(threads);
+    const SampledRun run = TrainSampled(12, "", false);
+    const std::string what = "threads=" + std::to_string(threads);
+    ExpectSameLosses(run.seen, serial.seen, what);
+    ExpectBitEqual(run.p, serial.p, "AnECI P");
+  }
+
+  // Killed after epoch 6, resumed from its checkpoint: the stitched history
+  // matches the uninterrupted run.
+  const std::string dir = testing::TempDir() + "/pair_loss_resume";
+  Env* env = Env::Default();
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  for (const std::string& path :
+       {CheckpointBinPath(dir), CheckpointBakPath(dir)}) {
+    if (env->FileExists(path)) {
+      ASSERT_TRUE(env->RemoveFile(path).ok());
+    }
+  }
+  ScopedNumThreads guard(4);
+  TrainSampled(6, dir, false);
+  const SampledRun resumed = TrainSampled(12, dir, true);
+  ExpectSameLosses(resumed.history, serial.history, "resumed");
+  ExpectBitEqual(resumed.p, serial.p, "resumed AnECI P");
 }
 
 }  // namespace
