@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks for the thread-pool kernel layer:
-// serial (1 thread) vs N-thread MatMul / SpMM / SpGEMM / k-means, so the
-// parallel speedup is measured rather than asserted. Run e.g.:
+// serial (1 thread) vs N-thread MatMul / SpMM / SpGEMM / k-means and the
+// dense reconstruction loss, so the parallel speedup is measured rather
+// than asserted. Run e.g.:
 //   ./bench_kernels --benchmark_filter=MatMul
-// The second Args() value is the thread count; compare the 1-thread and
-// 4-thread rows of the same shape for the speedup (>= 2x at 4 threads on
-// 1024x1024 MatMul on hardware with >= 4 free cores).
+// The second Args() value is the thread count (BM_DenseReconLoss has only
+// that one); compare the 1-thread and 4-thread rows of the same shape for
+// the speedup (>= 2x at 4 threads on 1024x1024 MatMul on hardware with
+// >= 4 free cores).
 //
 // GEMM rows also report a `gflops` rate counter, and BM_GemmBackend pins a
 // single-thread 512^3 GEMM on EVERY compiled-in backend (scalar, avx2) so
@@ -18,6 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "autograd/ops.h"
+#include "core/losses.h"
+#include "data/datasets.h"
+#include "graph/proximity.h"
 #include "linalg/kernels/kernels.h"
 #include "linalg/kmeans.h"
 #include "linalg/matrix.h"
@@ -147,6 +153,29 @@ BENCHMARK(BM_KMeans)
     ->Args({20000, 2})
     ->Args({20000, 4})
     ->Unit(benchmark::kMillisecond);
+
+// Exact dense reconstruction loss, forward plus backward, at Polblogs
+// scale: N = 1490 against the order-2 proximity A~ of the Polblogs
+// analogue (~0.8M stored entries) with K = 16. This is the layer that
+// dominates a dense-mode AnECI epoch; range(0) is the thread count.
+void BM_DenseReconLoss(benchmark::State& state) {
+  ScopedNumThreads guard(static_cast<int>(state.range(0)));
+  const Dataset ds = MakePolblogs(11);
+  const SparseMatrix proximity =
+      HighOrderProximity(ds.graph, ProximityOptions());
+  Rng rng(11);
+  const Matrix pm =
+      RowSoftmax(Matrix::RandomNormal(proximity.rows(), 16, 1.0, rng));
+  for (auto _ : state) {
+    ag::VarPtr p = ag::MakeParameter(pm);
+    ag::VarPtr loss = DenseReconstructionLoss(&proximity, p);
+    ag::Backward(loss);
+    benchmark::DoNotOptimize(p->grad().data());
+  }
+  state.counters["threads"] = static_cast<double>(NumThreads());
+  state.counters["nnz"] = static_cast<double>(proximity.nnz());
+}
+BENCHMARK(BM_DenseReconLoss)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // One single-thread 512^3 GEMM per compiled-in backend, bypassing Active()
 // via BackendByName so one run measures the scalar/avx2 ratio directly

@@ -29,8 +29,11 @@ ag::VarPtr GeneralizedModularityLoss(const SparseMatrix* proximity,
 ag::VarPtr GeneralizedModularityMinLoss(const SparseMatrix* proximity,
                                         const ag::VarPtr& p);
 
-/// Exact L_R = sum_ij BCE(sigmoid(p_i . p_j), A~_ij), streamed row by row:
-/// O(N^2 K) compute, O(N) extra memory. Suitable up to a few thousand nodes.
+/// Exact L_R = sum_ij BCE(sigmoid(p_i . p_j), A~_ij), computed in blocks of
+/// rows on the thread pool: O(N^2 K) compute, O(grain * N) extra memory per
+/// in-flight chunk of rows plus (N / grain + 1) offsets per row, never an
+/// N x N matrix. Bit-identical at every thread count. Suitable up to a few
+/// thousand nodes.
 ag::VarPtr DenseReconstructionLoss(const SparseMatrix* proximity,
                                    const ag::VarPtr& p);
 

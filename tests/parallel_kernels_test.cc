@@ -16,6 +16,7 @@
 #include "analysis/tsne.h"
 #include "autograd/ops.h"
 #include "core/aneci.h"
+#include "core/losses.h"
 #include "data/sbm.h"
 #include "graph/proximity.h"
 #include "linalg/kmeans.h"
@@ -256,18 +257,17 @@ TEST(ParallelKernels, EnvThreadSettingOneForcesSerialPath) {
 
 // --- Sampled pair loss -----------------------------------------------------
 
-struct PairBceResult {
+struct LossAndGrad {
   double loss = 0.0;
   Matrix grad;
 };
 
 // Oracle: the serial InnerProductPairBce forward and backward loops from
 // before the op ran on the pool, verbatim, with the upstream gradient `g`.
-PairBceResult SerialPairBce(const Matrix& pm,
-                            const std::vector<ag::PairTarget>& pairs,
-                            double g) {
+LossAndGrad SerialPairBce(const Matrix& pm,
+                          const std::vector<ag::PairTarget>& pairs, double g) {
   using ag::PairTarget;
-  PairBceResult out;
+  LossAndGrad out;
   {
     const int k = pm.cols();
     auto softplus = [](double x) {
@@ -335,7 +335,7 @@ TEST(ParallelKernels, PairBceMatchesSerialLoopBitwise) {
       for (int c = 0; c < k; ++c) pm(3, c) = 40.0 / std::sqrt(k);
       std::vector<ag::PairTarget> pairs = RandomPairs(num_pairs, used_rows, rng);
       if (num_pairs > 0) pairs.push_back({3, 3, 1.0});
-      const PairBceResult want = SerialPairBce(pm, pairs, kUpstream);
+      const LossAndGrad want = SerialPairBce(pm, pairs, kUpstream);
       const auto set = ag::PairSet::Build(pairs, rows);
       for (int threads : kThreads) {
         ScopedNumThreads guard(threads);
@@ -375,6 +375,140 @@ TEST(ParallelKernelsDeathTest, PairSetRejectsEndpointOutsideRows) {
   EXPECT_DEATH(ag::PairSet::Build({{-1, 0, 1.0}}, 3), "outside");
 }
 
+// --- Dense reconstruction loss ---------------------------------------------
+
+// Oracle: the serial DenseReconstructionLoss forward and backward loops from
+// before the loss ran on the pool, verbatim, with the upstream gradient `g`.
+LossAndGrad SerialDenseRecon(const SparseMatrix* proximity, const Matrix& pm,
+                             double g) {
+  LossAndGrad out;
+  auto softplus = [](double x) {
+    return x > 30.0 ? x : std::log1p(std::exp(x));
+  };
+  const int n = pm.rows(), k = pm.cols();
+  {
+    // Forward: stream row i of D = P P^T; targets come from the sparse A~ row.
+    double loss = 0.0;
+    std::vector<double> drow(n);
+    for (int i = 0; i < n; ++i) {
+      const double* pi = pm.RowPtr(i);
+      for (int j = 0; j < n; ++j) {
+        const double* pj = pm.RowPtr(j);
+        double d = 0.0;
+        for (int c = 0; c < k; ++c) d += pi[c] * pj[c];
+        drow[j] = d;
+        loss += softplus(d);  // BCE(sigmoid(d), t) = softplus(d) - t*d.
+      }
+      for (int64_t e = proximity->row_ptr()[i];
+           e < proximity->row_ptr()[i + 1]; ++e) {
+        loss -= proximity->values()[e] * drow[proximity->col_idx()[e]];
+      }
+    }
+    out.loss = loss;
+  }
+  {
+    Matrix dp(n, k);
+    std::vector<double> coeff(n);
+    for (int i = 0; i < n; ++i) {
+      const double* pi = pm.RowPtr(i);
+      // For ordered pair (i, j): dL/dd_ij = sigmoid(d_ij) - t_ij =: coeff_j,
+      // and d_ij = p_i . p_j, so dP_i += coeff_j P_j and dP_j += coeff_j P_i.
+      for (int j = 0; j < n; ++j) {
+        const double* pj = pm.RowPtr(j);
+        double d = 0.0;
+        for (int c = 0; c < k; ++c) d += pi[c] * pj[c];
+        coeff[j] = 1.0 / (1.0 + std::exp(-d));
+      }
+      for (int64_t e = proximity->row_ptr()[i];
+           e < proximity->row_ptr()[i + 1]; ++e) {
+        coeff[proximity->col_idx()[e]] -= proximity->values()[e];
+      }
+      double* di = dp.RowPtr(i);
+      for (int j = 0; j < n; ++j) {
+        const double w = g * coeff[j];
+        if (w == 0.0) continue;
+        const double* pj = pm.RowPtr(j);
+        double* dj = dp.RowPtr(j);
+        for (int c = 0; c < k; ++c) {
+          di[c] += w * pj[c];
+          dj[c] += w * pi[c];
+        }
+      }
+    }
+    out.grad = std::move(dp);
+  }
+  return out;
+}
+
+// A random nonnegative n x n matrix, row-normalized like AnECI's A~, so
+// A~(i, j) != A~(j, i) in general.
+SparseMatrix RowNormalizedProximity(int n, Rng& rng) {
+  std::vector<Triplet> trips;
+  for (int r = 0; r < n; ++r)
+    for (int c = 0; c < n; ++c)
+      if (r == c || rng.NextBool(0.3))
+        trips.push_back({r, c, rng.Uniform(0.1, 1.0)});
+  return SparseMatrix::FromTriplets(n, n, trips).RowNormalizedL1();
+}
+
+// An asymmetric pattern with every case the backward's column tile must
+// handle: empty rows (r % 5 == 1), empty columns (c % 7 == 3, unless
+// `full_row`), diagonal entries on even rows, and with `full_row` one row
+// that stores every column.
+SparseMatrix HandBuiltProximity(int n, bool full_row) {
+  std::vector<Triplet> trips;
+  for (int r = 0; r < n; ++r) {
+    if (full_row && r == n / 2) {
+      for (int c = 0; c < n; ++c) trips.push_back({r, c, 0.5 + 0.01 * c});
+      continue;
+    }
+    if (r % 5 == 1) continue;
+    for (int c : {r % 2 == 0 ? r : -1, (3 * r + 1) % n, (r * r + 2) % n}) {
+      if (c < 0 || c % 7 == 3) continue;
+      trips.push_back({r, c, 0.25 + 0.125 * (c % 4)});
+    }
+  }
+  return SparseMatrix::FromTriplets(n, n, trips);
+}
+
+TEST(ParallelKernels, DenseReconMatchesSerialLoopBitwise) {
+  const int kThreads[] = {1, 2, 7};
+  Rng rng(120);
+  // N around the backward's 16-row grain.
+  for (int n : {1, 15, 16, 17, 100}) {
+    const SparseMatrix proximities[] = {RowNormalizedProximity(n, rng),
+                                        HandBuiltProximity(n, false),
+                                        HandBuiltProximity(n, true)};
+    for (const SparseMatrix& a : proximities) {
+      for (int k : {1, 5, 16}) {
+        Matrix pm = Matrix::RandomNormal(n, k, 1.5, rng);
+        // Row 0 against itself takes softplus's linear branch (d = 1600);
+        // against the last row sigmoid underflows to 0, so an unstored pair
+        // has a zero weight even with a nonzero upstream gradient.
+        for (int c = 0; c < k; ++c) {
+          pm(0, c) = 40.0 / std::sqrt(k);
+          if (n > 1) pm(n - 1, c) = -40.0 / std::sqrt(k);
+        }
+        for (double g : {0.37, 0.0}) {
+          const LossAndGrad want = SerialDenseRecon(&a, pm, g);
+          for (int threads : kThreads) {
+            ScopedNumThreads guard(threads);
+            auto p = ag::MakeParameter(pm);
+            ag::VarPtr loss = DenseReconstructionLoss(&a, p);
+            ag::Backward(ag::Scale(loss, g));
+            const double got = loss->value()(0, 0);
+            EXPECT_EQ(std::memcmp(&got, &want.loss, sizeof(double)), 0)
+                << "n=" << n << " k=" << k << " g=" << g
+                << " threads=" << threads;
+            ExpectBitEqual(p->grad(), want.grad,
+                           "DenseReconstructionLoss gradient");
+          }
+        }
+      }
+    }
+  }
+}
+
 Graph AttributedSbm(uint64_t seed) {
   SbmOptions opt;
   opt.num_nodes = 120;
@@ -389,24 +523,21 @@ Graph AttributedSbm(uint64_t seed) {
 }
 
 // Every loss the epoch callback saw, including epochs later rolled back.
-struct SampledRun {
+struct AneciRun {
   std::vector<double> seen;
   std::vector<double> history;
   Matrix p;
 };
 
-// Sampled-mode AnECI with a resample at epoch 7 and a forced NaN at epoch
-// 7, which rolls back to the epoch-6 snapshot taken before the resample.
-SampledRun TrainSampled(int epochs, const std::string& checkpoint_dir,
-                        bool resume) {
-  AneciConfig cfg;
+// Trains `cfg` for `epochs` with a forced NaN at epoch 7, which rolls back
+// to the epoch-6 snapshot; with a `checkpoint_dir` it checkpoints every 3
+// epochs, and resumes from there when `resume` is set.
+AneciRun TrainWithFaults(AneciConfig cfg, int epochs,
+                         const std::string& checkpoint_dir, bool resume) {
   cfg.hidden_dim = 16;
   cfg.embed_dim = 16;
   cfg.epochs = epochs;
   cfg.proximity.order = 2;
-  cfg.reconstruction = ReconstructionMode::kSampled;
-  cfg.negatives_per_node = 3;
-  cfg.resample_every = 7;
   cfg.watchdog.snapshot_every = 2;
   auto fired = std::make_shared<bool>(false);
   cfg.divergence_fault_hook = [fired](int epoch) {
@@ -419,7 +550,7 @@ SampledRun TrainSampled(int epochs, const std::string& checkpoint_dir,
     cfg.checkpoint_every = 3;
     if (resume) cfg.resume_from = checkpoint_dir;
   }
-  SampledRun run;
+  AneciRun run;
   StatusOr<AneciResult> result = Aneci(cfg).TrainWithResilience(
       AttributedSbm(7), [&](const AneciEpochStats& s, const Matrix&,
                             const Matrix&) { run.seen.push_back(s.loss); });
@@ -439,21 +570,25 @@ void ExpectSameLosses(const std::vector<double>& a,
         << what << ": loss " << i << " differs";
 }
 
-TEST(ParallelKernels, AneciSampledLossHistoryMatchesAcrossThreadsAndResume) {
-  SampledRun serial;
+// Twelve epochs of `cfg` at 1 thread, then at 4 and 7 threads, then killed
+// after epoch 6 and resumed at 4 threads: every loss the trainer saw and
+// the final P must match bit for bit.
+void ExpectSameRunAcrossThreadsAndResume(const AneciConfig& cfg,
+                                         const std::string& dir_name) {
+  AneciRun serial;
   {
     ScopedNumThreads guard(1);
-    serial = TrainSampled(12, "", false);
+    serial = TrainWithFaults(cfg, 12, "", false);
   }
   // Epochs 0-6, the rolled-back retry from 6, then 7-11.
   ASSERT_EQ(serial.seen.size(), 13u);
   ASSERT_EQ(serial.history.size(), 12u);
-  // The retried epoch 6 must score the restored pre-resample pairs again.
+  // The retried epoch 6 must score the restored epoch-6 target again.
   EXPECT_EQ(std::memcmp(&serial.seen[6], &serial.seen[7], sizeof(double)), 0);
 
   for (int threads : {4, 7}) {
     ScopedNumThreads guard(threads);
-    const SampledRun run = TrainSampled(12, "", false);
+    const AneciRun run = TrainWithFaults(cfg, 12, "", false);
     const std::string what = "threads=" + std::to_string(threads);
     ExpectSameLosses(run.seen, serial.seen, what);
     ExpectBitEqual(run.p, serial.p, "AnECI P");
@@ -461,7 +596,7 @@ TEST(ParallelKernels, AneciSampledLossHistoryMatchesAcrossThreadsAndResume) {
 
   // Killed after epoch 6, resumed from its checkpoint: the stitched history
   // matches the uninterrupted run.
-  const std::string dir = testing::TempDir() + "/pair_loss_resume";
+  const std::string dir = testing::TempDir() + "/" + dir_name;
   Env* env = Env::Default();
   ASSERT_TRUE(env->CreateDir(dir).ok());
   for (const std::string& path :
@@ -471,10 +606,32 @@ TEST(ParallelKernels, AneciSampledLossHistoryMatchesAcrossThreadsAndResume) {
     }
   }
   ScopedNumThreads guard(4);
-  TrainSampled(6, dir, false);
-  const SampledRun resumed = TrainSampled(12, dir, true);
+  TrainWithFaults(cfg, 6, dir, false);
+  const AneciRun resumed = TrainWithFaults(cfg, 12, dir, true);
   ExpectSameLosses(resumed.history, serial.history, "resumed");
   ExpectBitEqual(resumed.p, serial.p, "resumed AnECI P");
+}
+
+// Sampled mode with a resample at epoch 7: the rollback at 7 returns to
+// the pairs drawn before the resample.
+TEST(ParallelKernels, AneciSampledLossHistoryMatchesAcrossThreadsAndResume) {
+  AneciConfig cfg;
+  cfg.reconstruction = ReconstructionMode::kSampled;
+  cfg.negatives_per_node = 3;
+  cfg.resample_every = 7;
+  ExpectSameRunAcrossThreadsAndResume(cfg, "pair_loss_resume");
+}
+
+// Dense mode with adversarial epochs 0, 3, 6 and 9, so the target switches
+// between A~ and adv_proximity mid-run; the rollback at 7 re-runs the
+// adversarial epoch 6 from the restored perturbation stream.
+TEST(ParallelKernels, AneciDenseLossHistoryMatchesAcrossThreadsAndResume) {
+  AneciConfig cfg;
+  cfg.reconstruction = ReconstructionMode::kDense;
+  cfg.adversarial.enabled = true;
+  cfg.adversarial.budget = 0.1;
+  cfg.adversarial.every = 3;
+  ExpectSameRunAcrossThreadsAndResume(cfg, "dense_loss_resume");
 }
 
 }  // namespace

@@ -84,12 +84,13 @@ ANECI_KERNEL_BACKEND=scalar ctest --test-dir "${prefix}" \
   --output-on-failure -j "$(nproc)" -L kernels
 
 # Test binaries exercised by the sanitizer matrix
-# (fault/attack/serve/stream labels).
+# (fault/attack/serve/stream/kernels labels).
 matrix_targets=(checkpoint_test resilience_test graph_io_robustness_test
                 attack_test surrogate_test serve_protocol_test
                 serve_snapshot_test serve_golden_test serve_chaos_test
                 watchdog_edge_test stream_test stream_chaos_test
-                kernels_test memory_planner_test parallel_kernels_test)
+                kernels_test memory_planner_test parallel_kernels_test
+                losses_test)
 
 echo "== stage 2a: AddressSanitizer (fault + attack + serve + stream tests) =="
 cmake -B "${prefix}-asan" -S . -DANECI_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
