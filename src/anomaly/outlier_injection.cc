@@ -26,19 +26,17 @@ void MakeStructuralOutlier(Graph* graph, int node, Rng& rng) {
   }
 }
 
-// Replaces `node`'s attributes with those of a random node of a different
-// community.
-void MakeAttributeOutlier(Graph* graph, int node, Rng& rng) {
-  ANECI_CHECK(graph->has_attributes());
-  const int n = graph->num_nodes();
-  const bool labeled = graph->has_labels();
-  const int own = labeled ? graph->labels()[node] : -1;
+// Replaces row `node` of the dense attributes `x` of `graph` with that of a
+// random node of a different community.
+void MakeAttributeOutlier(const Graph& graph, Matrix* x, int node, Rng& rng) {
+  const int n = graph.num_nodes();
+  const bool labeled = graph.has_labels();
+  const int own = labeled ? graph.labels()[node] : -1;
   for (int attempt = 0; attempt < 50 * n; ++attempt) {
     const int src = static_cast<int>(rng.NextInt(n));
     if (src == node) continue;
-    if (labeled && graph->labels()[src] == own) continue;
-    Matrix& x = graph->mutable_attributes();
-    std::copy(x.RowPtr(src), x.RowPtr(src) + x.cols(), x.RowPtr(node));
+    if (labeled && graph.labels()[src] == own) continue;
+    std::copy(x->RowPtr(src), x->RowPtr(src) + x->cols(), x->RowPtr(node));
     return;
   }
 }
@@ -74,6 +72,8 @@ OutlierInjectionResult InjectOutliers(const Graph& graph, OutlierKind kind,
   result.outlier_ids.assign(order.begin(), order.begin() + count);
 
   const bool has_attrs = graph.has_attributes();
+  // Attribute outliers edit one dense copy, stored back at the end.
+  Matrix x = has_attrs ? graph.attributes().ToDense() : Matrix();
   for (size_t idx = 0; idx < result.outlier_ids.size(); ++idx) {
     const int node = result.outlier_ids[idx];
     result.is_outlier[node] = 1;
@@ -100,16 +100,17 @@ OutlierInjectionResult InjectOutliers(const Graph& graph, OutlierKind kind,
         MakeStructuralOutlier(&result.graph, node, rng);
         break;
       case OutlierKind::kAttribute:
-        MakeAttributeOutlier(&result.graph, node, rng);
+        MakeAttributeOutlier(result.graph, &x, node, rng);
         break;
       case OutlierKind::kCombined:
         MakeStructuralOutlier(&result.graph, node, rng);
-        MakeAttributeOutlier(&result.graph, node, rng);
+        MakeAttributeOutlier(result.graph, &x, node, rng);
         break;
       case OutlierKind::kMix:
         break;  // Unreachable; resolved above.
     }
   }
+  if (has_attrs) result.graph.SetAttributes(SparseMatrix::FromDense(x));
   return result;
 }
 

@@ -138,12 +138,10 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
   // and the high-order proximity A~ (both the training target and the
   // modularity's structural prior).
   SparseMatrix s_norm, x_sparse, proximity;
-  Matrix features;
   {
     TraceSpan setup_span("setup");  // Path: train/aneci/setup.
     s_norm = graph.NormalizedAdjacency();
-    features = graph.FeaturesOrIdentity();
-    x_sparse = SparseMatrix::FromDense(features);
+    x_sparse = graph.Features();
     proximity = HighOrderProximity(graph, config_.proximity);
   }
   const double two_m_scale = proximity.SumAll();
@@ -155,7 +153,7 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
 
   // Parameters of the two GCN layers (Eq. 2).
   auto w1 = ag::MakeParameter(
-      Matrix::GlorotUniform(features.cols(), config_.hidden_dim, rng));
+      Matrix::GlorotUniform(x_sparse.cols(), config_.hidden_dim, rng));
   auto b1 = ag::MakeParameter(Matrix(1, config_.hidden_dim));
   auto w2 = ag::MakeParameter(
       Matrix::GlorotUniform(config_.hidden_dim, config_.embed_dim, rng));

@@ -141,10 +141,11 @@ Graph GenerateSbm(const SbmOptions& options, Rng& rng) {
         words.insert(static_cast<int>(rng.NextInt(d)));
       topics[c].assign(words.begin(), words.end());
     }
-    Matrix x(n, d);
+    std::vector<Triplet> cells;
     for (int i = 0; i < n; ++i) {
       const int c = graph.labels()[i];
       const int words = std::max(1, rng.NextPoisson(options.words_per_node));
+      std::set<int> row_words;  // A word drawn twice is still a single 1.
       for (int w = 0; w < words; ++w) {
         int word;
         if (rng.NextBool(options.attribute_homophily)) {
@@ -152,10 +153,11 @@ Graph GenerateSbm(const SbmOptions& options, Rng& rng) {
         } else {
           word = static_cast<int>(rng.NextInt(d));
         }
-        x(i, word) = 1.0;
+        row_words.insert(word);
       }
+      for (int word : row_words) cells.push_back({i, word, 1.0});
     }
-    graph.SetAttributes(std::move(x));
+    graph.SetAttributes(SparseMatrix::FromTriplets(n, d, std::move(cells)));
   }
   return graph;
 }

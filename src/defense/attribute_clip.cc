@@ -24,8 +24,9 @@ DefenseReport AttributeClip::Apply(Graph* graph, Rng& rng) const {
   IsolationForest::Options forest_opt;
   forest_opt.num_trees = options_.num_trees;
   IsolationForest forest(forest_opt);
-  forest.Fit(graph->attributes(), rng);
-  const std::vector<double> scores = forest.Score(graph->attributes());
+  Matrix x = graph->attributes().ToDense();  // Clipped in place below.
+  forest.Fit(x, rng);
+  const std::vector<double> scores = forest.Score(x);
 
   // Flag the top-scored nodes; ties break by node id for determinism.
   std::vector<int> order(n);
@@ -36,12 +37,11 @@ DefenseReport AttributeClip::Apply(Graph* graph, Rng& rng) const {
   for (int i = 0; i < to_clip; ++i) flagged[order[i]] = 1;
 
   // Replace each flagged row with the mean of its unflagged neighbours'
-  // rows, computed against the ORIGINAL attributes so the result does not
-  // depend on the clip order. Flagged nodes without an unflagged neighbour
-  // keep their row (no trustworthy local evidence to clip toward).
-  const Matrix original = graph->attributes();
-  Matrix& x = graph->mutable_attributes();
-  const int d = original.cols();
+  // rows. Only unflagged rows are read, so each mean sees the original
+  // attributes and the result does not depend on the clip order. Flagged
+  // nodes without an unflagged neighbour keep their row (no trustworthy
+  // local evidence to clip toward).
+  const int d = x.cols();
   int clipped = 0;
   for (int i = 0; i < n; ++i) {
     if (!flagged[i]) continue;
@@ -49,7 +49,7 @@ DefenseReport AttributeClip::Apply(Graph* graph, Rng& rng) const {
     std::vector<double> mean(d, 0.0);
     for (int j : graph->Neighbors(i)) {
       if (flagged[j]) continue;
-      const double* row = original.RowPtr(j);
+      const double* row = x.RowPtr(j);
       for (int c = 0; c < d; ++c) mean[c] += row[c];
       ++support;
     }
@@ -58,6 +58,7 @@ DefenseReport AttributeClip::Apply(Graph* graph, Rng& rng) const {
     for (int c = 0; c < d; ++c) out[c] = mean[c] / support;
     ++clipped;
   }
+  graph->SetAttributes(SparseMatrix::FromDense(x));
   report.nodes_clipped = clipped;
   return report;
 }

@@ -1,5 +1,6 @@
 #include "defense/defense.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -208,20 +209,23 @@ PurifiedGraph RunDefensePipelineScoped(const Graph& graph,
   int restored_rows = 0;
   if (graph.has_attributes() && full.graph.has_attributes() &&
       full.graph.attributes().rows() == graph.attributes().rows()) {
-    const Matrix& before = graph.attributes();
-    Matrix& after = full.graph.mutable_attributes();
+    const SparseMatrix& before = graph.attributes();
+    Matrix after = full.graph.attributes().ToDense();
+    std::vector<double> row(before.cols());  // Row u of the input.
     for (int u = 0; u < graph.num_nodes(); ++u) {
-      bool changed = false;
-      for (int c = 0; c < before.cols() && !changed; ++c)
-        changed = before(u, c) != after(u, c);
-      if (!changed) continue;
+      std::fill(row.begin(), row.end(), 0.0);
+      for (int64_t i = before.row_ptr()[u]; i < before.row_ptr()[u + 1]; ++i)
+        row[before.col_idx()[i]] = before.values()[i];
+      if (std::equal(row.begin(), row.end(), after.RowPtr(u))) continue;
       if (in_region[u]) {
         ++scoped_clips;
       } else {
-        for (int c = 0; c < before.cols(); ++c) after(u, c) = before(u, c);
+        std::copy(row.begin(), row.end(), after.RowPtr(u));
         ++restored_rows;
       }
     }
+    if (restored_rows > 0)
+      full.graph.SetAttributes(SparseMatrix::FromDense(after));
   }
 
   DefenseReport report;

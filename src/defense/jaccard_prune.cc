@@ -6,13 +6,11 @@
 namespace aneci {
 namespace {
 
-/// Nonzero attribute support of `node` as a sorted column list.
+/// Nonzero attribute support of `node`: the sorted columns of its CSR row.
 std::vector<int> RowSupport(const Graph& graph, int node) {
-  const double* row = graph.attributes().RowPtr(node);
-  std::vector<int> support;
-  for (int c = 0; c < graph.attribute_dim(); ++c)
-    if (row[c] != 0.0) support.push_back(c);
-  return support;
+  const SparseMatrix& x = graph.attributes();
+  return std::vector<int>(x.col_idx().begin() + x.row_ptr()[node],
+                          x.col_idx().begin() + x.row_ptr()[node + 1]);
 }
 
 /// Support of `node` pooled with its neighbours, excluding `skip` (the other

@@ -1,10 +1,9 @@
 #include "embed/anomaly_dae.h"
 
-#include <cmath>
-
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
 #include "core/losses.h"
+#include "embed/decoder_errors.h"
 #include "util/check.h"
 
 namespace aneci {
@@ -21,8 +20,8 @@ void AnomalyDae::Run(const Graph& graph, const EmbedOptions& eo,
   ANECI_CHECK_GT(n, 0);
 
   const SparseMatrix a_norm = graph.Adjacency(true).RowNormalizedL1();
+  const SparseMatrix x_sparse = graph.Features();
   const Matrix features = graph.FeaturesOrIdentity();
-  const SparseMatrix x_sparse = SparseMatrix::FromDense(features);
 
   // Structure encoder consumes [adjacency row || attributes] jointly, as the
   // original concatenates both modalities before embedding.
@@ -72,37 +71,9 @@ void AnomalyDae::Run(const Graph& graph, const EmbedOptions& eo,
 
   if (embedding != nullptr) *embedding = z_final;
   if (scores != nullptr) {
-    std::vector<double> err_s(n, 0.0), err_a(n, 0.0);
-    std::vector<int> cnt(n, 0);
-    for (const ag::PairTarget& pt : pairs->pairs()) {
-      double d = 0.0;
-      const double* a = z_final.RowPtr(pt.u);
-      const double* b = z_final.RowPtr(pt.v);
-      for (int c = 0; c < z_final.cols(); ++c) d += a[c] * b[c];
-      const double s = 1.0 / (1.0 + std::exp(-d));
-      const double r = (s - pt.target) * (s - pt.target);
-      err_s[pt.u] += r;
-      err_s[pt.v] += r;
-      ++cnt[pt.u];
-      ++cnt[pt.v];
-    }
-    double max_s = 1e-12, max_a = 1e-12;
-    for (int i = 0; i < n; ++i) {
-      if (cnt[i] > 0) err_s[i] /= cnt[i];
-      const double* p = xhat_final.RowPtr(i);
-      const double* t = features.RowPtr(i);
-      for (int c = 0; c < features.cols(); ++c) {
-        const double d = p[c] - t[c];
-        err_a[i] += d * d;
-      }
-      max_s = std::max(max_s, err_s[i]);
-      max_a = std::max(max_a, err_a[i]);
-    }
-    scores->assign(n, 0.0);
-    for (int i = 0; i < n; ++i) {
-      (*scores)[i] = opt.alpha * err_s[i] / max_s +
-                     (1.0 - opt.alpha) * err_a[i] / max_a;
-    }
+    *scores = MixDecoderErrors(
+        ComputeDecoderErrors(z_final, pairs->pairs(), xhat_final, features),
+        opt.alpha);
   }
 }
 

@@ -22,8 +22,8 @@ Matrix Dane::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   ProximityOptions prox;
   prox.order = 2;
   const SparseMatrix proximity = HighOrderProximity(graph, prox);
+  const SparseMatrix x_sparse = graph.Features();
   const Matrix features = graph.FeaturesOrIdentity();
-  const SparseMatrix x_sparse = SparseMatrix::FromDense(features);
 
   // Structure branch: encode rows of the proximity matrix.
   auto ws1 =
@@ -80,15 +80,8 @@ Matrix Dane::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
     optimizer.Step();
     if (eo.observer != nullptr) eo.observer->OnEpoch(epoch, loss->value()(0, 0));
 
-    if (epoch == opt.epochs - 1) {
-      final_out = Matrix(n, 2 * half);
-      for (int i = 0; i < n; ++i) {
-        std::copy(zs->value().RowPtr(i), zs->value().RowPtr(i) + half,
-                  final_out.RowPtr(i));
-        std::copy(za->value().RowPtr(i), za->value().RowPtr(i) + half,
-                  final_out.RowPtr(i) + half);
-      }
-    }
+    if (epoch == opt.epochs - 1)
+      final_out = Matrix::ConcatColumns(zs->value(), za->value());
   }
   return final_out;
 }

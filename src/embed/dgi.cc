@@ -19,21 +19,16 @@ Matrix Dgi::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   ANECI_CHECK_GT(n, 0);
 
   const SparseMatrix s_norm = graph.NormalizedAdjacency();
-  const Matrix features = graph.FeaturesOrIdentity();
-  const SparseMatrix x_sparse = SparseMatrix::FromDense(features);
+  const SparseMatrix x_sparse = graph.Features();
 
   auto w1 = ag::MakeParameter(
-      Matrix::GlorotUniform(features.cols(), opt.dim, rng));
+      Matrix::GlorotUniform(x_sparse.cols(), opt.dim, rng));
   auto w_disc = ag::MakeParameter(
       Matrix::GlorotUniform(opt.dim, opt.dim, rng));
 
   ag::Adam::Options adam;
   adam.lr = opt.lr;
   ag::Adam optimizer({w1, w_disc}, adam);
-
-  // BCE targets: 1 for real patches, 0 for corrupted ones.
-  Matrix targets(2 * n, 1);
-  for (int i = 0; i < n; ++i) targets(i, 0) = 1.0;
 
   Matrix final_h;
   for (int epoch = 0; epoch < opt.epochs; ++epoch) {
@@ -44,8 +39,7 @@ Matrix Dgi::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
     std::iota(perm.begin(), perm.end(), 0);
     for (int i = n - 1; i > 0; --i)
       std::swap(perm[i], perm[rng.NextInt(i + 1)]);
-    const SparseMatrix x_corrupt =
-        SparseMatrix::FromDense(features.SelectRows(perm));
+    const SparseMatrix x_corrupt = x_sparse.SelectRows(perm);
 
     // Encoder on the real and corrupted graphs.
     VarPtr h = ag::Relu(ag::SpMM(&s_norm, ag::SpMM(&x_sparse, w1)));
@@ -59,8 +53,8 @@ Matrix Dgi::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
     VarPtr pos_scores = ag::MatMul(h, ws);           // (n x 1).
     VarPtr neg_scores = ag::MatMul(h_neg, ws);
 
-    // Stack scores and apply BCE with the fixed targets. (Concatenate by
-    // building the loss as a sum of the two halves.)
+    // BCE with target 1 for real patches and 0 for corrupted ones, as a sum
+    // of the two halves.
     Matrix ones(n, 1, 1.0), zeros(n, 1, 0.0);
     VarPtr loss =
         ag::Add(ag::BinaryCrossEntropySum(ag::Sigmoid(pos_scores), ones),

@@ -1,10 +1,9 @@
 #include "embed/dominant.h"
 
-#include <cmath>
-
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
 #include "core/losses.h"
+#include "embed/decoder_errors.h"
 #include "util/check.h"
 
 namespace aneci {
@@ -22,8 +21,8 @@ void Dominant::Run(const Graph& graph, const EmbedOptions& eo,
 
   const SparseMatrix s_norm = graph.NormalizedAdjacency();
   const SparseMatrix a_target = graph.Adjacency(true).RowNormalizedL1();
+  const SparseMatrix x_sparse = graph.Features();
   const Matrix features = graph.FeaturesOrIdentity();
-  const SparseMatrix x_sparse = SparseMatrix::FromDense(features);
 
   auto w1 = ag::MakeParameter(
       Matrix::GlorotUniform(features.cols(), opt.hidden_dim, rng));
@@ -68,39 +67,9 @@ void Dominant::Run(const Graph& graph, const EmbedOptions& eo,
 
   if (embedding != nullptr) *embedding = z_final;
   if (scores != nullptr) {
-    scores->assign(n, 0.0);
-    // Structure error: mean residual over the node's decoder pairs.
-    std::vector<double> err_s(n, 0.0);
-    std::vector<int> cnt(n, 0);
-    for (const ag::PairTarget& pt : pairs->pairs()) {
-      double d = 0.0;
-      const double* a = z_final.RowPtr(pt.u);
-      const double* b = z_final.RowPtr(pt.v);
-      for (int c = 0; c < z_final.cols(); ++c) d += a[c] * b[c];
-      const double s = 1.0 / (1.0 + std::exp(-d));
-      const double r = (s - pt.target) * (s - pt.target);
-      err_s[pt.u] += r;
-      err_s[pt.v] += r;
-      ++cnt[pt.u];
-      ++cnt[pt.v];
-    }
-    double max_s = 1e-12, max_a = 1e-12;
-    std::vector<double> err_a(n, 0.0);
-    for (int i = 0; i < n; ++i) {
-      if (cnt[i] > 0) err_s[i] /= cnt[i];
-      const double* p = xhat_final.RowPtr(i);
-      const double* t = features.RowPtr(i);
-      for (int c = 0; c < features.cols(); ++c) {
-        const double d = p[c] - t[c];
-        err_a[i] += d * d;
-      }
-      max_s = std::max(max_s, err_s[i]);
-      max_a = std::max(max_a, err_a[i]);
-    }
-    for (int i = 0; i < n; ++i) {
-      (*scores)[i] = opt.alpha * err_s[i] / max_s +
-                     (1.0 - opt.alpha) * err_a[i] / max_a;
-    }
+    *scores = MixDecoderErrors(
+        ComputeDecoderErrors(z_final, pairs->pairs(), xhat_final, features),
+        opt.alpha);
   }
 }
 

@@ -5,6 +5,7 @@
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
 #include "core/losses.h"
+#include "embed/decoder_errors.h"
 #include "util/check.h"
 
 namespace aneci {
@@ -12,43 +13,6 @@ namespace aneci {
 using ag::VarPtr;
 
 namespace {
-
-// Per-node squared reconstruction error of an attribute decoder output.
-std::vector<double> RowSquaredErrors(const Matrix& predicted,
-                                     const Matrix& target) {
-  std::vector<double> err(predicted.rows(), 0.0);
-  for (int i = 0; i < predicted.rows(); ++i) {
-    const double* p = predicted.RowPtr(i);
-    const double* t = target.RowPtr(i);
-    for (int c = 0; c < predicted.cols(); ++c) {
-      const double d = p[c] - t[c];
-      err[i] += d * d;
-    }
-  }
-  return err;
-}
-
-// Per-node mean squared residual of the pair decoder.
-std::vector<double> PairErrors(const Matrix& z,
-                               const std::vector<ag::PairTarget>& pairs) {
-  std::vector<double> err(z.rows(), 0.0);
-  std::vector<int> count(z.rows(), 0);
-  for (const ag::PairTarget& pt : pairs) {
-    double d = 0.0;
-    const double* a = z.RowPtr(pt.u);
-    const double* b = z.RowPtr(pt.v);
-    for (int c = 0; c < z.cols(); ++c) d += a[c] * b[c];
-    const double s = 1.0 / (1.0 + std::exp(-d));
-    const double r = (s - pt.target) * (s - pt.target);
-    err[pt.u] += r;
-    err[pt.v] += r;
-    ++count[pt.u];
-    ++count[pt.v];
-  }
-  for (size_t i = 0; i < err.size(); ++i)
-    if (count[i] > 0) err[i] /= count[i];
-  return err;
-}
 
 // Normalises errors to outlier weights: w_i = log(1 / o_i) where o_i is the
 // error share (DONE's formulation); rescaled to mean 1.
@@ -82,8 +46,8 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
   const int half = std::max(2, opt.dim / 2);
 
   const SparseMatrix a_norm = graph.Adjacency(true).RowNormalizedL1();
+  const SparseMatrix x_sparse = graph.Features();
   const Matrix features = graph.FeaturesOrIdentity();
-  const SparseMatrix x_sparse = SparseMatrix::FromDense(features);
 
   auto ws1 =
       ag::MakeParameter(Matrix::GlorotUniform(n, opt.hidden_dim, rng));
@@ -178,10 +142,11 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
     // Refresh outlier weights from the current per-node errors.
     if (opt.reweight_every > 0 &&
         (epoch + 1) % opt.reweight_every == 0) {
-      std::vector<double> err_a = RowSquaredErrors(xhat->value(), features);
-      std::vector<double> err_s = PairErrors(zs->value(), pairs->pairs());
+      const DecoderErrors err = ComputeDecoderErrors(
+          zs->value(), pairs->pairs(), xhat->value(), features);
       std::vector<double> combined(n);
-      for (int i = 0; i < n; ++i) combined[i] = err_a[i] + err_s[i];
+      for (int i = 0; i < n; ++i)
+        combined[i] = err.attribute[i] + err.structure[i];
       weights = ErrorsToWeights(combined);
     }
 
@@ -192,28 +157,13 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
     }
   }
 
-  if (embedding != nullptr) {
-    *embedding = Matrix(n, 2 * half);
-    for (int i = 0; i < n; ++i) {
-      std::copy(zs_final.RowPtr(i), zs_final.RowPtr(i) + half,
-                embedding->RowPtr(i));
-      std::copy(za_final.RowPtr(i), za_final.RowPtr(i) + half,
-                embedding->RowPtr(i) + half);
-    }
-  }
+  if (embedding != nullptr)
+    *embedding = Matrix::ConcatColumns(zs_final, za_final);
   if (scores != nullptr) {
-    // Anomaly score: normalised sum of structure + attribute recon errors.
-    std::vector<double> err_a = RowSquaredErrors(xhat_final, features);
-    std::vector<double> err_s = PairErrors(zs_final, pairs->pairs());
-    const auto norm = [](std::vector<double>& v) {
-      double mx = 1e-12;
-      for (double x : v) mx = std::max(mx, x);
-      for (double& x : v) x /= mx;
-    };
-    norm(err_a);
-    norm(err_s);
-    scores->assign(n, 0.0);
-    for (int i = 0; i < n; ++i) (*scores)[i] = 0.5 * (err_a[i] + err_s[i]);
+    // Anomaly score: mean of the max-normalised structure + attribute errors.
+    *scores = MixDecoderErrors(
+        ComputeDecoderErrors(zs_final, pairs->pairs(), xhat_final, features),
+        0.5);
   }
 }
 

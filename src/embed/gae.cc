@@ -17,11 +17,10 @@ Matrix Gae::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   ANECI_CHECK_GT(n, 0);
 
   const SparseMatrix s_norm = graph.NormalizedAdjacency();
-  const Matrix features = graph.FeaturesOrIdentity();
-  const SparseMatrix x_sparse = SparseMatrix::FromDense(features);
+  const SparseMatrix x_sparse = graph.Features();
 
   auto w1 = ag::MakeParameter(
-      Matrix::GlorotUniform(features.cols(), opt.hidden_dim, rng));
+      Matrix::GlorotUniform(x_sparse.cols(), opt.hidden_dim, rng));
   auto w_mu = ag::MakeParameter(
       Matrix::GlorotUniform(opt.hidden_dim, opt.dim, rng));
   auto w_logstd = ag::MakeParameter(

@@ -15,14 +15,13 @@ void GatClassifier::Fit(const Dataset& dataset, Rng& rng) {
   ANECI_CHECK_GT(k, 1);
 
   const SparseMatrix adj = graph.Adjacency(/*add_self_loops=*/true);
-  const Matrix features = graph.FeaturesOrIdentity();
-  const SparseMatrix x_sparse = SparseMatrix::FromDense(features);
+  const SparseMatrix x_sparse = graph.Features();
 
   std::vector<int> train_labels;
   for (int i : dataset.train_idx) train_labels.push_back(graph.labels()[i]);
 
   auto w1 = ag::MakeParameter(
-      Matrix::GlorotUniform(features.cols(), options_.hidden_dim, rng));
+      Matrix::GlorotUniform(x_sparse.cols(), options_.hidden_dim, rng));
   auto a1_src = ag::MakeParameter(
       Matrix::GlorotUniform(1, options_.hidden_dim, rng));
   auto a1_dst = ag::MakeParameter(
@@ -81,11 +80,10 @@ Matrix Gate::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   ANECI_CHECK_GT(n, 0);
 
   const SparseMatrix adj = graph.Adjacency(/*add_self_loops=*/true);
-  const Matrix features = graph.FeaturesOrIdentity();
-  const SparseMatrix x_sparse = SparseMatrix::FromDense(features);
+  const SparseMatrix x_sparse = graph.Features();
 
   auto w1 = ag::MakeParameter(
-      Matrix::GlorotUniform(features.cols(), opt.hidden_dim, rng));
+      Matrix::GlorotUniform(x_sparse.cols(), opt.hidden_dim, rng));
   auto a1_src = ag::MakeParameter(
       Matrix::GlorotUniform(1, opt.hidden_dim, rng));
   auto a1_dst = ag::MakeParameter(

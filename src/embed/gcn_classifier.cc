@@ -15,19 +15,18 @@ void GcnClassifier::Fit(const Dataset& dataset, Rng& rng) {
   ANECI_CHECK_GT(k, 1);
 
   const SparseMatrix s_norm = graph.NormalizedAdjacency();
-  const Matrix features = graph.FeaturesOrIdentity();
-  const SparseMatrix x_sparse = SparseMatrix::FromDense(features);
+  const SparseMatrix x_sparse = graph.Features();
 
   std::vector<int> train_labels;
   for (int i : dataset.train_idx) train_labels.push_back(graph.labels()[i]);
 
   auto w1 = ag::MakeParameter(
-      Matrix::GlorotUniform(features.cols(), options_.hidden_dim, rng));
+      Matrix::GlorotUniform(x_sparse.cols(), options_.hidden_dim, rng));
   auto w2 =
       ag::MakeParameter(Matrix::GlorotUniform(options_.hidden_dim, k, rng));
   // RGCN variance stream.
   auto w1v = ag::MakeParameter(
-      Matrix::GlorotUniform(features.cols(), options_.hidden_dim, rng));
+      Matrix::GlorotUniform(x_sparse.cols(), options_.hidden_dim, rng));
 
   std::vector<VarPtr> params = {w1, w2};
   if (options_.robust) params.push_back(w1v);

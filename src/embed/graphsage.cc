@@ -18,11 +18,10 @@ Matrix GraphSage::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   const int n = graph.num_nodes();
   ANECI_CHECK_GT(n, 0);
 
-  const Matrix features = graph.FeaturesOrIdentity();
-  const SparseMatrix x_sparse = SparseMatrix::FromDense(features);
+  const SparseMatrix x_sparse = graph.Features();
 
   auto w1 = ag::MakeParameter(
-      Matrix::GlorotUniform(features.cols(), opt.hidden_dim, rng));
+      Matrix::GlorotUniform(x_sparse.cols(), opt.hidden_dim, rng));
   auto w2 = ag::MakeParameter(
       Matrix::GlorotUniform(opt.hidden_dim, opt.dim, rng));
 

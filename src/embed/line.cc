@@ -90,13 +90,7 @@ Matrix Line::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   }
 
   // Concatenate first- and second-order halves.
-  Matrix out(n, 2 * half);
-  for (int i = 0; i < n; ++i) {
-    std::copy(first.RowPtr(i), first.RowPtr(i) + half, out.RowPtr(i));
-    std::copy(second.RowPtr(i), second.RowPtr(i) + half,
-              out.RowPtr(i) + half);
-  }
-  return out;
+  return Matrix::ConcatColumns(first, second);
 }
 
 }  // namespace aneci

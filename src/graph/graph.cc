@@ -58,7 +58,7 @@ const std::vector<int>& Graph::Neighbors(int u) const {
   return neighbors_[u];
 }
 
-void Graph::SetAttributes(Matrix x) {
+void Graph::SetAttributes(SparseMatrix x) {
   ANECI_CHECK_EQ(x.rows(), num_nodes_);
   attributes_ = std::move(x);
 }
@@ -90,10 +90,12 @@ SparseMatrix Graph::NormalizedAdjacency() const {
   return Adjacency(/*add_self_loops=*/true).SymmetricallyNormalized();
 }
 
-Matrix Graph::FeaturesOrIdentity() const {
+SparseMatrix Graph::Features() const {
   if (has_attributes()) return attributes_;
-  return Matrix::Identity(num_nodes_);
+  return SparseMatrix::Identity(num_nodes_);
 }
+
+Matrix Graph::FeaturesOrIdentity() const { return Features().ToDense(); }
 
 void Graph::InvalidateAdjacency() { adjacency_valid_ = false; }
 

@@ -1,6 +1,6 @@
 // Attributed network container (Definition 1): undirected simple graph with
-// optional per-node attribute vectors and class labels, stored as a sorted
-// edge set plus derived CSR adjacency.
+// optional per-node attribute vectors (CSR) and class labels, stored as a
+// sorted edge set plus derived CSR adjacency.
 #ifndef ANECI_GRAPH_GRAPH_H_
 #define ANECI_GRAPH_GRAPH_H_
 
@@ -52,10 +52,10 @@ class Graph {
 
   // --- Attributes & labels --------------------------------------------------
 
-  bool has_attributes() const { return !attributes_.empty(); }
-  const Matrix& attributes() const { return attributes_; }
-  Matrix& mutable_attributes() { return attributes_; }
-  void SetAttributes(Matrix x);
+  bool has_attributes() const { return num_nodes_ > 0 && attribute_dim() > 0; }
+  /// X as an N x d CSR. Cell edits go through a dense copy and FromDense.
+  const SparseMatrix& attributes() const { return attributes_; }
+  void SetAttributes(SparseMatrix x);
 
   /// Attribute dimensionality d, or 0 if absent.
   int attribute_dim() const { return attributes_.cols(); }
@@ -73,8 +73,11 @@ class Graph {
   /// GCN propagation operator D^{-1/2} (A + I) D^{-1/2} (Eq. 2).
   SparseMatrix NormalizedAdjacency() const;
 
-  /// Attribute matrix if present, otherwise the identity (the paper's
-  /// convention for Polblogs: "use the unit matrix instead").
+  /// The encoders' feature operator: X, or else the sparse identity (Polblogs:
+  /// "use the unit matrix instead"). Equals FromDense(FeaturesOrIdentity()).
+  SparseMatrix Features() const;
+
+  /// Dense Features(), for code that needs dense cells.
   Matrix FeaturesOrIdentity() const;
 
  private:
@@ -83,7 +86,7 @@ class Graph {
 
   int num_nodes_ = 0;
   std::vector<Edge> edges_;  // Sorted, unique, u < v.
-  Matrix attributes_;
+  SparseMatrix attributes_;
   std::vector<int> labels_;
 
   // Neighbor lists derived lazily from edges_.

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -53,15 +54,12 @@ Status SaveGraph(const Graph& graph, const std::string& path, Env* env) {
     out << "\n";
   }
   if (graph.has_attributes()) {
-    const Matrix& x = graph.attributes();
+    const SparseMatrix& x = graph.attributes();
     out << "attributes " << x.cols() << "\n";
     for (int r = 0; r < x.rows(); ++r) {
-      int nnz = 0;
-      for (int c = 0; c < x.cols(); ++c)
-        if (x(r, c) != 0.0) ++nnz;
-      out << nnz;
-      for (int c = 0; c < x.cols(); ++c)
-        if (x(r, c) != 0.0) out << " " << c << ":" << x(r, c);
+      out << x.RowNnz(r);
+      for (int64_t i = x.row_ptr()[r]; i < x.row_ptr()[r + 1]; ++i)
+        out << " " << x.col_idx()[i] << ":" << x.values()[i];
       out << "\n";
     }
   }
@@ -131,7 +129,8 @@ StatusOr<Graph> LoadGraph(const std::string& path, Env* env) {
       int d = 0;
       if (!(in >> d) || d <= 0)
         return Status::InvalidArgument("bad attribute dim in " + path);
-      Matrix x(n, d);
+      std::vector<Triplet> cells;
+      std::vector<int> last_row(d, -1);  // Last row that set column c.
       for (int r = 0; r < n; ++r) {
         int nnz = 0;
         if (!(in >> nnz))
@@ -169,10 +168,19 @@ StatusOr<Graph> LoadGraph(const std::string& path, Env* env) {
                 "attribute column " + std::to_string(c) + " out of range [0, " +
                 std::to_string(d) + ") at row " + std::to_string(r) + " in " +
                 path);
-          x(r, c) = v;
+          if (!std::isfinite(v))
+            return Status::InvalidArgument(
+                "non-finite attribute value in cell '" + cell + "' at row " +
+                std::to_string(r) + " in " + path);
+          if (last_row[c] == r)
+            return Status::InvalidArgument(
+                "repeated attribute column in cell '" + cell + "' at row " +
+                std::to_string(r) + " in " + path);
+          last_row[c] = r;
+          cells.push_back({r, c, v});
         }
       }
-      graph.SetAttributes(std::move(x));
+      graph.SetAttributes(SparseMatrix::FromTriplets(n, d, std::move(cells)));
     } else {
       return Status::InvalidArgument("unknown section or trailing garbage: '" +
                                      keyword + "' in " + path);

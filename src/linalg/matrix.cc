@@ -20,6 +20,17 @@ Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
   return m;
 }
 
+Matrix Matrix::ConcatColumns(const Matrix& left, const Matrix& right) {
+  ANECI_CHECK_EQ(left.rows(), right.rows());
+  Matrix m(left.rows(), left.cols() + right.cols());
+  for (int i = 0; i < m.rows(); ++i) {
+    std::copy(left.RowPtr(i), left.RowPtr(i) + left.cols(), m.RowPtr(i));
+    std::copy(right.RowPtr(i), right.RowPtr(i) + right.cols(),
+              m.RowPtr(i) + left.cols());
+  }
+  return m;
+}
+
 Matrix Matrix::Identity(int n) {
   Matrix m(n, n);
   for (int i = 0; i < n; ++i) m(i, i) = 1.0;

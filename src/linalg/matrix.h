@@ -40,6 +40,9 @@ class Matrix {
 
   static Matrix Identity(int n);
 
+  /// [left | right]: rows side by side (equal row counts).
+  static Matrix ConcatColumns(const Matrix& left, const Matrix& right);
+
   /// Entries iid Uniform(-scale, scale).
   static Matrix RandomUniform(int rows, int cols, double scale, Rng& rng);
 

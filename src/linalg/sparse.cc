@@ -92,6 +92,20 @@ Matrix SparseMatrix::ToDense() const {
   return d;
 }
 
+SparseMatrix SparseMatrix::SelectRows(const std::vector<int>& indices) const {
+  SparseMatrix out(static_cast<int>(indices.size()), cols_);
+  for (size_t i = 0; i < indices.size(); ++i) {
+    const int r = indices[i];
+    ANECI_CHECK(r >= 0 && r < rows_);
+    out.col_idx_.insert(out.col_idx_.end(), col_idx_.begin() + row_ptr_[r],
+                        col_idx_.begin() + row_ptr_[r + 1]);
+    out.values_.insert(out.values_.end(), values_.begin() + row_ptr_[r],
+                       values_.begin() + row_ptr_[r + 1]);
+    out.row_ptr_[i + 1] = static_cast<int64_t>(out.col_idx_.size());
+  }
+  return out;
+}
+
 // Both SpMM entry points are forwarding shims over the process-wide kernel
 // backend (linalg/kernels/kernels.h); validation and metrics live there.
 

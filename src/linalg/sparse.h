@@ -56,6 +56,9 @@ class SparseMatrix {
   /// Dense equivalent; only for small matrices / tests.
   Matrix ToDense() const;
 
+  /// The listed rows in order, repeats allowed (as Matrix::SelectRows).
+  SparseMatrix SelectRows(const std::vector<int>& indices) const;
+
   /// y = this * x for a dense matrix x: (m x n) * (n x k) -> (m x k).
   Matrix Multiply(const Matrix& x) const;
 

@@ -1,6 +1,7 @@
 #include "stream/event_log.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "util/byteio.h"
@@ -161,6 +162,7 @@ StatusOr<BatchApplyReport> ApplyEventBatch(Graph* graph,
   // event midway through the batch must not leave earlier events applied.
   Graph scratch = *graph;
   const int n = scratch.num_nodes();
+  Matrix attrs;  // Dense X, copied at the first set-attribute event.
   BatchApplyReport report;
   for (size_t i = 0; i < batch.events.size(); ++i) {
     const GraphEvent& event = batch.events[i];
@@ -202,12 +204,18 @@ StatusOr<BatchApplyReport> ApplyEventBatch(Graph* graph,
               "attribute column " + std::to_string(event.v) +
               " out of range [0, " + std::to_string(scratch.attribute_dim()) +
               ") in " + EventContext(batch, i));
-        scratch.mutable_attributes()(event.u, event.v) = event.value;
+        if (!std::isfinite(event.value))
+          return Status::InvalidArgument(
+              "non-finite attribute value " + std::to_string(event.value) +
+              " in " + EventContext(batch, i));
+        if (attrs.empty()) attrs = scratch.attributes().ToDense();
+        attrs(event.u, event.v) = event.value;
         ++report.attributes_updated;
         break;
       }
     }
   }
+  if (!attrs.empty()) scratch.SetAttributes(SparseMatrix::FromDense(attrs));
   *graph = std::move(scratch);
   return report;
 }

@@ -77,14 +77,8 @@ StatusOr<RefreshOutcome> RefreshRegion(
   Graph sub = Graph::FromEdges(m, edges);
   outcome.region_edges = sub.num_edges();
   if (sub.num_edges() == 0) return outcome;
-  if (graph.has_attributes()) {
-    const Matrix& attrs = graph.attributes();
-    Matrix sub_attrs(m, attrs.cols());
-    for (int i = 0; i < m; ++i)
-      for (int c = 0; c < attrs.cols(); ++c)
-        sub_attrs(i, c) = attrs(region[i], c);
-    sub.SetAttributes(std::move(sub_attrs));
-  }
+  if (graph.has_attributes())
+    sub.SetAttributes(graph.attributes().SelectRows(region));
 
   // The subgraph trainer starts from fresh weights, so its communities come
   // out in an arbitrary column order — a permutation of the global one.

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "anomaly/anomaly_score.h"
 #include "anomaly/isolation_forest.h"
 #include "anomaly/outlier_injection.h"
 #include "data/sbm.h"
+#include "embed/decoder_errors.h"
 #include "tasks/metrics.h"
 #include "util/rng.h"
 
@@ -70,7 +73,7 @@ TEST(OutlierInjection, AttributeOutliersKeepStructure) {
   int changed = 0;
   for (int node : res.outlier_ids) {
     for (int c = 0; c < g.attribute_dim(); ++c) {
-      if (res.graph.attributes()(node, c) != g.attributes()(node, c)) {
+      if (res.graph.attributes().At(node, c) != g.attributes().At(node, c)) {
         ++changed;
         break;
       }
@@ -109,6 +112,32 @@ TEST(OutlierInjection, KindNames) {
 }
 
 // --- Scores -------------------------------------------------------------------
+
+TEST(DecoderErrors, HandComputedPairAndRowErrors) {
+  const Matrix z = Matrix::FromRows({{1.0, 0.0}, {0.5, 2.0}, {0.0, 0.0}});
+  // Node 2 is in no pair, so its structure error stays 0.
+  const std::vector<ag::PairTarget> pairs = {{0, 1, 1.0}, {1, 1, 0.0}};
+  const Matrix xhat = Matrix::FromRows({{1.0, 2.0}, {0.0, 0.0}, {3.0, 1.0}});
+  const Matrix x = Matrix::FromRows({{1.0, 0.0}, {0.0, -1.0}, {0.0, 1.0}});
+  const DecoderErrors err = ComputeDecoderErrors(z, pairs, xhat, x);
+
+  const double s01 = 1.0 / (1.0 + std::exp(-0.5));   // z0 . z1 = 0.5
+  const double s11 = 1.0 / (1.0 + std::exp(-4.25));  // z1 . z1 = 4.25
+  const double r01 = (s01 - 1.0) * (s01 - 1.0);
+  const double r11 = s11 * s11;
+  ASSERT_EQ(err.structure.size(), 3u);
+  EXPECT_DOUBLE_EQ(err.structure[0], r01);
+  EXPECT_DOUBLE_EQ(err.structure[1], (r01 + 2 * r11) / 3);
+  EXPECT_EQ(err.structure[2], 0.0);
+  EXPECT_EQ(err.attribute, (std::vector<double>{4.0, 1.0, 9.0}));
+
+  const std::vector<double> mixed = MixDecoderErrors(err, 0.25);
+  const double max_s = err.structure[1];
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_DOUBLE_EQ(mixed[i], 0.25 * err.structure[i] / max_s +
+                                   0.75 * err.attribute[i] / 9.0);
+  }
+}
 
 TEST(MembershipEntropy, UniformRowsScoreHighest) {
   Matrix p = Matrix::FromRows({{1.0, 0.0}, {0.5, 0.5}, {0.9, 0.1}});

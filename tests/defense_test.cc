@@ -47,7 +47,7 @@ Graph MakeHandGraph() {
   x(1, 0) = x(1, 1) = 1.0;
   x(2, 2) = 1.0;
   x(3, 3) = 1.0;
-  g.SetAttributes(std::move(x));
+  g.SetAttributes(SparseMatrix::FromDense(x));
   return g;
 }
 
@@ -113,7 +113,7 @@ TEST(JaccardPruneTest, CommonNeighborProtectionKeepsTriangles) {
   Graph g = Graph::FromEdges(3, {{0, 1}, {1, 2}, {0, 2}});
   Matrix x(3, 3);
   x(0, 0) = x(1, 1) = x(2, 2) = 1.0;
-  g.SetAttributes(std::move(x));
+  g.SetAttributes(SparseMatrix::FromDense(x));
   JaccardPruneOptions opt;
   opt.threshold = 0.5;
   opt.hops = 0;
@@ -143,7 +143,7 @@ TEST(JaccardPruneTest, AggregatedModeSeesNeighborhoodTopics) {
   x(3, 1) = 1.0;
   x(4, 3) = 1.0;
   x(5, 3) = 1.0;
-  g.SetAttributes(std::move(x));
+  g.SetAttributes(SparseMatrix::FromDense(x));
   JaccardPruneOptions opt;
   opt.threshold = 0.2;
   opt.hops = 1;
@@ -222,9 +222,9 @@ TEST(AttributeClipTest, RewritesPollutedRowTowardNeighbors) {
   int victim = 0;
   for (int i = 0; i < g.num_nodes(); ++i)
     if (g.Degree(i) > g.Degree(victim)) victim = i;
-  Matrix x = g.attributes();
+  Matrix x = g.attributes().ToDense();
   for (int c = 0; c < x.cols(); ++c) x(victim, c) = 40.0;
-  g.SetAttributes(std::move(x));
+  g.SetAttributes(SparseMatrix::FromDense(x));
 
   AttributeClipOptions opt;
   opt.fraction = 1.0 / g.num_nodes();  // clip exactly the worst node
@@ -234,7 +234,7 @@ TEST(AttributeClipTest, RewritesPollutedRowTowardNeighbors) {
   // The polluted row is gone: binary bag-of-words neighbours average < 40.
   double mx = 0.0;
   for (int c = 0; c < g.attribute_dim(); ++c)
-    mx = std::max(mx, g.attributes()(victim, c));
+    mx = std::max(mx, g.attributes().At(victim, c));
   EXPECT_LT(mx, 2.0);
 }
 

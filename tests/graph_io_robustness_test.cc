@@ -54,8 +54,8 @@ TEST(GraphIoRobustness, ValidFileLoads) {
   EXPECT_EQ(g.value().num_nodes(), 3);
   EXPECT_EQ(g.value().num_edges(), 2);
   ASSERT_TRUE(g.value().has_attributes());
-  EXPECT_EQ(g.value().attributes()(0, 3), 0.5);
-  EXPECT_EQ(g.value().attributes()(2, 2), -1.5);
+  EXPECT_EQ(g.value().attributes().At(0, 3), 0.5);
+  EXPECT_EQ(g.value().attributes().At(2, 2), -1.5);
 }
 
 // --- Header and counts ------------------------------------------------------
@@ -179,6 +179,38 @@ TEST(GraphIoRobustness, MalformedAttributeCells) {
       "partial_col.txt",
       "# aneci-graph v1\nnodes 2\nedges 0\nattributes 4\n1 1x:1\n0\n",
       StatusCode::kInvalidArgument, "bad attribute column");
+}
+
+TEST(GraphIoRobustness, NonFiniteAttributeValues) {
+  // strtod parses these spellings; a model fed them would train on NaN.
+  for (const char* value : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    ExpectLoadError(
+        std::string("nonfinite_") + value + ".txt",
+        std::string("# aneci-graph v1\nnodes 2\nedges 0\nattributes 4\n"
+                    "0\n2 0:1 3:") + value + "\n",
+        StatusCode::kInvalidArgument,
+        std::string("non-finite attribute value in cell '3:") + value +
+            "' at row 1");
+  }
+}
+
+TEST(GraphIoRobustness, RepeatedAttributeColumn) {
+  // A repeated column used to overwrite the earlier cell silently; built
+  // from triplets it would be summed instead. Either way it is malformed.
+  ExpectLoadError(
+      "repeat_col.txt",
+      "# aneci-graph v1\nnodes 2\nedges 0\nattributes 4\n"
+      "3 2:1 0:0.5 2:4\n0\n",
+      StatusCode::kInvalidArgument,
+      "repeated attribute column in cell '2:4' at row 0");
+  // The same column in different rows is fine.
+  const std::string path = WriteFile(
+      "same_col_two_rows.txt",
+      "# aneci-graph v1\nnodes 2\nedges 0\nattributes 4\n1 2:1\n1 2:3\n");
+  StatusOr<Graph> g = LoadGraph(path);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g.value().attributes().At(0, 2), 1.0);
+  EXPECT_EQ(g.value().attributes().At(1, 2), 3.0);
 }
 
 TEST(GraphIoRobustness, TruncatedAttributeRows) {

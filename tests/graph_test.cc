@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "data/sbm.h"
 #include "graph/components.h"
 #include "graph/graph.h"
 #include "graph/graph_io.h"
@@ -73,9 +74,62 @@ TEST(Graph, FeaturesOrIdentityFallsBack) {
   EXPECT_DOUBLE_EQ(f(1, 1), 1.0);
 
   Matrix attrs(3, 2, 0.5);
-  g.SetAttributes(attrs);
+  g.SetAttributes(SparseMatrix::FromDense(attrs));
   EXPECT_EQ(g.FeaturesOrIdentity().cols(), 2);
   EXPECT_TRUE(g.has_attributes());
+}
+
+// Features() must be, entry for entry, the operand the encoders built before
+// attributes were stored as CSR: FromDense of the dense X (or identity).
+void ExpectFeaturesMatchDenseRoute(const Graph& g) {
+  const SparseMatrix sparse = g.Features();
+  const SparseMatrix dense_route =
+      SparseMatrix::FromDense(g.FeaturesOrIdentity());
+  EXPECT_EQ(sparse.rows(), dense_route.rows());
+  EXPECT_EQ(sparse.cols(), dense_route.cols());
+  EXPECT_EQ(sparse.row_ptr(), dense_route.row_ptr());
+  EXPECT_EQ(sparse.col_idx(), dense_route.col_idx());
+  EXPECT_EQ(sparse.values(), dense_route.values());
+}
+
+TEST(Graph, FeaturesMatchDenseRouteOnAttributedSbm) {
+  SbmOptions opt;
+  opt.num_nodes = 300;
+  opt.num_edges = 900;
+  opt.attribute_dim = 80;
+  opt.words_per_node = 12;
+  opt.topic_words_per_class = 15;
+  Rng rng(21);
+  const Graph g = GenerateSbm(opt, rng);
+  ASSERT_TRUE(g.has_attributes());
+  EXPECT_EQ(g.attribute_dim(), 80);
+  ExpectFeaturesMatchDenseRoute(g);
+  // Binary bag of words: a word drawn twice for a node is still one 1.
+  for (double v : g.attributes().values()) EXPECT_EQ(v, 1.0);
+}
+
+TEST(Graph, FeaturesMatchDenseRouteWithZeroRowAndNegatives) {
+  Graph g = Triangle();
+  Matrix x(3, 4);
+  x(0, 0) = -1.5;
+  x(0, 3) = 2.0;
+  x(2, 1) = -0.25;  // Row 1 stays all zero.
+  g.SetAttributes(SparseMatrix::FromDense(x));
+  EXPECT_EQ(g.attributes().nnz(), 3);
+  EXPECT_EQ(g.attributes().RowNnz(1), 0);
+  ExpectFeaturesMatchDenseRoute(g);
+}
+
+TEST(Graph, FeaturesWithoutAttributesIsSparseIdentity) {
+  const Graph g = Graph::FromEdges(5, {{0, 1}, {3, 4}});
+  EXPECT_FALSE(g.has_attributes());
+  EXPECT_EQ(g.attribute_dim(), 0);
+  const SparseMatrix f = g.Features();
+  EXPECT_EQ(f.rows(), 5);
+  EXPECT_EQ(f.cols(), 5);
+  EXPECT_EQ(f.nnz(), 5);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(f.At(i, i), 1.0);
+  ExpectFeaturesMatchDenseRoute(g);
 }
 
 TEST(Graph, LabelsAndClassCount) {
@@ -117,7 +171,7 @@ TEST(GraphIo, RoundTripWithLabelsAndAttributes) {
   Matrix x(3, 4);
   x(0, 1) = 1.0;
   x(2, 3) = -2.5;
-  g.SetAttributes(x);
+  g.SetAttributes(SparseMatrix::FromDense(x));
 
   const std::string path = testing::TempDir() + "/graph_roundtrip.txt";
   ASSERT_TRUE(SaveGraph(g, path).ok());
@@ -127,9 +181,9 @@ TEST(GraphIo, RoundTripWithLabelsAndAttributes) {
   EXPECT_EQ(h.num_nodes(), 3);
   EXPECT_EQ(h.num_edges(), 3);
   EXPECT_EQ(h.labels(), g.labels());
-  EXPECT_DOUBLE_EQ(h.attributes()(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(h.attributes()(2, 3), -2.5);
-  EXPECT_DOUBLE_EQ(h.attributes()(1, 2), 0.0);
+  EXPECT_DOUBLE_EQ(h.attributes().At(0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(h.attributes().At(2, 3), -2.5);
+  EXPECT_DOUBLE_EQ(h.attributes().At(1, 2), 0.0);
 }
 
 TEST(GraphIo, LoadRejectsMissingFile) {

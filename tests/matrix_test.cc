@@ -138,6 +138,18 @@ TEST(Matrix, SelectRows) {
   EXPECT_DOUBLE_EQ(s(1, 1), 2);
 }
 
+TEST(Matrix, ConcatColumns) {
+  const Matrix left = Matrix::FromRows({{1, 2}, {3, 4}});
+  const Matrix right = Matrix::FromRows({{5}, {6}});
+  const Matrix c = Matrix::ConcatColumns(left, right);
+  ASSERT_EQ(c.rows(), 2);
+  ASSERT_EQ(c.cols(), 3);
+  EXPECT_DOUBLE_EQ(c(0, 1), 2);
+  EXPECT_DOUBLE_EQ(c(0, 2), 5);
+  EXPECT_DOUBLE_EQ(c(1, 0), 3);
+  EXPECT_DOUBLE_EQ(c(1, 2), 6);
+}
+
 TEST(Matrix, Reductions) {
   Matrix a = Matrix::FromRows({{1, -2}, {3, 4}});
   EXPECT_DOUBLE_EQ(a.Sum(), 6);

@@ -80,7 +80,7 @@ TEST(Sbm, AttributesAreClassCorrelated) {
   Rng rng(6);
   Graph g = GenerateSbm(SmallOptions(), rng);
   // Mean cosine similarity within class should exceed across classes.
-  const Matrix& x = g.attributes();
+  const Matrix x = g.attributes().ToDense();
   double intra = 0.0, inter = 0.0;
   int n_intra = 0, n_inter = 0;
   Rng pick(7);

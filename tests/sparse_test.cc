@@ -61,6 +61,28 @@ TEST(Sparse, IdentityAndDenseRoundTrip) {
   EXPECT_EQ(back.nnz(), 4);
 }
 
+TEST(Sparse, SelectRowsMatchesDenseRoute) {
+  Rng rng(31);
+  SparseMatrix m = RandomSparse(7, 5, 0.4, rng);
+  // Make row 2 empty so selecting it yields an empty row.
+  std::vector<Triplet> trips;
+  for (const Triplet& t : m.ToTriplets())
+    if (t.row != 2) trips.push_back(t);
+  m = SparseMatrix::FromTriplets(7, 5, std::move(trips));
+  ASSERT_EQ(m.RowNnz(2), 0);
+  const std::vector<int> idx = {6, 2, 0, 6, 3, 3, 2, 1};  // Repeats, empty.
+  const SparseMatrix got = m.SelectRows(idx);
+  const SparseMatrix want =
+      SparseMatrix::FromDense(m.ToDense().SelectRows(idx));
+  EXPECT_EQ(got.rows(), 8);
+  EXPECT_EQ(got.cols(), 5);
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  EXPECT_EQ(got.values(), want.values());
+  EXPECT_EQ(m.SelectRows({}).rows(), 0);
+  EXPECT_EQ(m.SelectRows({}).nnz(), 0);
+}
+
 TEST(Sparse, FromDenseDropTolerance) {
   Matrix d = Matrix::FromRows({{0.001, 1.0}, {0.0, -0.5}});
   SparseMatrix m = SparseMatrix::FromDense(d, 0.01);

@@ -3,6 +3,7 @@
 // application, the scenario generator, the drift monitor's hysteresis state
 // machine, frontier BFS, incremental refresh, and engine determinism.
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,7 @@ Graph MakeTestGraph(int n = 12) {
   Graph g = Graph::FromEdges(n, edges);
   Matrix attrs(n, 6);
   for (int i = 0; i < n; ++i) attrs(i, i % 6) = 1.0;
-  g.SetAttributes(std::move(attrs));
+  g.SetAttributes(SparseMatrix::FromDense(attrs));
   return g;
 }
 
@@ -187,13 +188,13 @@ TEST(ApplyBatchTest, AppliesEdgesAndAttributes) {
   EXPECT_EQ(report.value().redundant, 1);
   EXPECT_TRUE(g.HasEdge(0, 5));
   EXPECT_FALSE(g.HasEdge(0, 1));
-  EXPECT_EQ(g.attributes()(2, 3), 9.5);
+  EXPECT_EQ(g.attributes().At(2, 3), 9.5);
 }
 
 TEST(ApplyBatchTest, InvalidEventRollsBackWholeBatch) {
   Graph g = MakeTestGraph();
   const std::vector<Edge> before = g.edges();
-  const double attr_before = g.attributes()(2, 3);
+  const double attr_before = g.attributes().At(2, 3);
   EventBatch batch;
   batch.sequence = 11;
   batch.events = {GraphEvent::AddEdge(0, 5),
@@ -205,7 +206,7 @@ TEST(ApplyBatchTest, InvalidEventRollsBackWholeBatch) {
   EXPECT_NE(report.status().message().find("batch 11"), std::string::npos);
   // Nothing — not even the earlier valid events — landed.
   EXPECT_EQ(g.edges(), before);
-  EXPECT_EQ(g.attributes()(2, 3), attr_before);
+  EXPECT_EQ(g.attributes().At(2, 3), attr_before);
 }
 
 TEST(ApplyBatchTest, SelfLoopRejected) {
@@ -234,6 +235,33 @@ TEST(ApplyBatchTest, AttributeColumnOutOfRangeRejected) {
   auto report = ApplyEventBatch(&g, batch);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("column"), std::string::npos);
+}
+
+TEST(ApplyBatchTest, NonFiniteAttributeValueRejected) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Graph g = MakeTestGraph();
+    const std::vector<Edge> edges_before = g.edges();
+    const SparseMatrix attrs_before = g.attributes();
+    EventBatch batch;
+    batch.sequence = 12;
+    batch.events = {GraphEvent::AddEdge(0, 5),
+                    GraphEvent::SetAttribute(2, 3, 7.0),
+                    GraphEvent::SetAttribute(4, 1, bad)};
+    auto report = ApplyEventBatch(&g, batch);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(report.status().message().find("non-finite"), std::string::npos)
+        << report.status().message();
+    EXPECT_NE(report.status().message().find("event 2"), std::string::npos);
+    EXPECT_NE(report.status().message().find("batch 12"), std::string::npos);
+    // The whole batch is rejected: edges and every attribute cell unchanged.
+    EXPECT_EQ(g.edges(), edges_before);
+    EXPECT_EQ(g.attributes().row_ptr(), attrs_before.row_ptr());
+    EXPECT_EQ(g.attributes().col_idx(), attrs_before.col_idx());
+    EXPECT_EQ(g.attributes().values(), attrs_before.values());
+  }
 }
 
 TEST(ApplyBatchTest, TouchedNodesSortedUnique) {

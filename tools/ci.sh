@@ -30,7 +30,9 @@
 # ASan, UBSan, and TSan — the subsets that exercise error paths over
 # partially written buffers and fuzzed protocol frames (ASan), integer/
 # float conversions in the perturbation math and wire decoding (UBSan),
-# and the parallel kernels plus the hot-swap path (TSan). The stream label
+# and the parallel kernels plus the hot-swap path (TSan). ASan and UBSan
+# also run the storage label: graph_test and sparse_test, which own the CSR
+# attribute store and the row gathers over it. The stream label
 # covers the event-log replay and chaos tests, whose thread-count
 # replay-identity contract is exactly what TSan must see race-free. The
 # TSan build additionally re-runs the thread-pool and defense determinism
@@ -84,29 +86,29 @@ ANECI_KERNEL_BACKEND=scalar ctest --test-dir "${prefix}" \
   --output-on-failure -j "$(nproc)" -L kernels
 
 # Test binaries exercised by the sanitizer matrix
-# (fault/attack/serve/stream/kernels labels).
+# (fault/attack/serve/stream/kernels/storage labels).
 matrix_targets=(checkpoint_test resilience_test graph_io_robustness_test
                 attack_test surrogate_test serve_protocol_test
                 serve_snapshot_test serve_golden_test serve_chaos_test
                 watchdog_edge_test stream_test stream_chaos_test
                 kernels_test memory_planner_test parallel_kernels_test
-                losses_test)
+                losses_test graph_test sparse_test)
 
-echo "== stage 2a: AddressSanitizer (fault + attack + serve + stream tests) =="
+echo "== stage 2a: AddressSanitizer (fault + attack + serve + stream + storage tests) =="
 cmake -B "${prefix}-asan" -S . -DANECI_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${prefix}-asan" -j "$(nproc)" --target "${matrix_targets[@]}"
 ctest --test-dir "${prefix}-asan" --output-on-failure -j "$(nproc)" \
-  -L 'fault|attack|serve|stream|kernels'
+  -L 'fault|attack|serve|stream|kernels|storage'
 # The scalar fallback's packing/tail paths get the same ASan coverage.
 ANECI_KERNEL_BACKEND=scalar ctest --test-dir "${prefix}-asan" \
   --output-on-failure -j "$(nproc)" -L kernels
 
-echo "== stage 2b: UndefinedBehaviorSanitizer (fault + attack + serve + stream tests) =="
+echo "== stage 2b: UndefinedBehaviorSanitizer (fault + attack + serve + stream + storage tests) =="
 cmake -B "${prefix}-ubsan" -S . -DANECI_UBSAN=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${prefix}-ubsan" -j "$(nproc)" --target "${matrix_targets[@]}"
 ctest --test-dir "${prefix}-ubsan" --output-on-failure -j "$(nproc)" \
-  -L 'fault|attack|serve|stream|kernels'
+  -L 'fault|attack|serve|stream|kernels|storage'
 
 echo "== stage 2c: ThreadSanitizer (fault + attack + serve + stream + concurrency tests) =="
 cmake -B "${prefix}-tsan" -S . -DANECI_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
