@@ -4,13 +4,15 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "autograd/optimizer.h"
+#include "core/train_loop.h"
 #include "util/check.h"
+#include "util/trace.h"
 
 namespace aneci {
 
 void SurrogateModel::Fit(const Graph& graph, const Dataset& dataset,
                          Rng& rng) {
+  TraceSpan span("attack/surrogate");
   const Matrix features = graph.FeaturesOrIdentity();
   const int k = dataset.graph.num_classes();
   ANECI_CHECK_GT(k, 1);
@@ -24,20 +26,15 @@ void SurrogateModel::Fit(const Graph& graph, const Dataset& dataset,
     train_labels.push_back(dataset.graph.labels()[i]);
 
   auto w = ag::MakeParameter(Matrix::GlorotUniform(features.cols(), k, rng));
-  ag::Adam::Options adam;
-  adam.lr = options_.lr;
-  adam.weight_decay = options_.weight_decay;
-  ag::Adam optimizer({w}, adam);
-
   auto f_const = ag::MakeConstant(std::move(f));
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    optimizer.ZeroGrad();
-    ag::VarPtr logits = ag::MatMul(f_const, w);
-    ag::VarPtr loss =
-        ag::SoftmaxCrossEntropy(logits, dataset.train_idx, train_labels);
-    ag::Backward(loss);
-    optimizer.Step();
-  }
+  TrainLoop loop({w}, {.epochs = options_.epochs,
+                       .adam = {.lr = options_.lr,
+                                .weight_decay = options_.weight_decay},
+                       .rng = &rng});
+  loop.RunOrDie([&](int) {
+    return ag::SoftmaxCrossEntropy(ag::MatMul(f_const, w), dataset.train_idx,
+                                   train_labels);
+  });
   weights_ = w->value();
   projected_ = MatMul(features, weights_);
 }

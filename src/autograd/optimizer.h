@@ -1,6 +1,7 @@
 // First-order optimisers over parameter nodes. The training loop pattern is:
 //   optimizer.ZeroGrad(); auto loss = BuildLoss(); Backward(loss);
 //   optimizer.Step();
+// core/train_loop.h runs it for every model in the library.
 #ifndef ANECI_AUTOGRAD_OPTIMIZER_H_
 #define ANECI_AUTOGRAD_OPTIMIZER_H_
 

@@ -2,18 +2,15 @@
 
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <memory>
 
 #include "attack/dice.h"
 #include "attack/random_attack.h"
 #include "autograd/ops.h"
-#include "autograd/optimizer.h"
 #include "core/losses.h"
+#include "core/train_loop.h"
 #include "graph/modularity.h"
 #include "util/check.h"
-#include "util/checkpoint.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace aneci {
@@ -21,24 +18,6 @@ namespace aneci {
 using ag::VarPtr;
 
 namespace {
-
-TensorBlob ToBlob(const Matrix& m) {
-  TensorBlob b;
-  b.rows = m.rows();
-  b.cols = m.cols();
-  b.data.assign(m.data(), m.data() + m.size());
-  return b;
-}
-
-Matrix BlobToMatrix(const TensorBlob& b) {
-  Matrix m(b.rows, b.cols);
-  std::copy(b.data.begin(), b.data.end(), m.data());
-  return m;
-}
-
-bool BlobShapeMatches(const TensorBlob& b, const Matrix& m) {
-  return b.rows == m.rows() && b.cols == m.cols();
-}
 
 void HashMix(uint64_t* h, uint64_t v) {
   // FNV-1a over the value's bytes.
@@ -52,18 +31,6 @@ void HashMixDouble(uint64_t* h, double d) {
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
   HashMix(h, bits);
-}
-
-/// Serial L2 norm over all parameter gradients. Each per-parameter sum runs
-/// in the same element order at every thread count, so the value is part of
-/// the deterministic telemetry contract.
-double GradNorm(const std::vector<ag::VarPtr>& params) {
-  double sum = 0.0;
-  for (const ag::VarPtr& p : params) {
-    const Matrix& g = p->grad();
-    for (int64_t i = 0; i < g.size(); ++i) sum += g.data()[i] * g.data()[i];
-  }
-  return std::sqrt(sum);
 }
 
 /// Fingerprint of everything that shapes the training trajectory besides the
@@ -112,19 +79,6 @@ uint64_t ResilienceFingerprint(const AneciConfig& cfg, const Graph& graph) {
 StatusOr<AneciResult> Aneci::TrainWithResilience(
     const Graph& graph, const EpochCallback& on_epoch) const {
   TraceSpan train_span("train/aneci");
-  static Counter* runs = MetricsRegistry::Global().GetCounter(
-      "train/runs", MetricClass::kDeterministic);
-  static Counter* epochs_run = MetricsRegistry::Global().GetCounter(
-      "train/epochs", MetricClass::kDeterministic);
-  static Counter* rollbacks_taken_counter = MetricsRegistry::Global().GetCounter(
-      "train/watchdog_rollbacks", MetricClass::kDeterministic);
-  static Counter* early_stops = MetricsRegistry::Global().GetCounter(
-      "train/early_stops", MetricClass::kDeterministic);
-  static Gauge* last_loss = MetricsRegistry::Global().GetGauge(
-      "train/last_loss", MetricClass::kDeterministic);
-  TelemetryRing* ring = MetricsRegistry::Global().GetRing("train/epochs");
-  runs->Increment();
-
   const int n = graph.num_nodes();
   ANECI_CHECK_GT(n, 0);
   Rng rng(config_.seed);
@@ -132,7 +86,6 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
   // Dedicated perturbation stream: enabling adversarial training must not
   // shift any draw of the main stream, and vice versa.
   Rng adv_rng(adv.seed);
-  Env* env = config_.env ? config_.env : Env::Default();
 
   // Precompute the constant operators: GCN propagation S, sparse features X,
   // and the high-order proximity A~ (both the training target and the
@@ -158,12 +111,6 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
   auto w2 = ag::MakeParameter(
       Matrix::GlorotUniform(config_.hidden_dim, config_.embed_dim, rng));
   auto b2 = ag::MakeParameter(Matrix(1, config_.embed_dim));
-  const std::vector<VarPtr> params = {w1, b1, w2, b2};
-
-  ag::Adam::Options adam;
-  adam.lr = config_.lr;
-  adam.weight_decay = config_.weight_decay;
-  ag::Adam optimizer(params, adam);
 
   auto forward = [&](const SparseMatrix* prop) {
     // H1 = LeakyReLU(S X W1 + b1); Z = S H1 W2 + b2.
@@ -184,130 +131,47 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
   std::shared_ptr<const ag::PairSet> pair_set;
   if (!dense_recon)
     pairs = SampleReconstructionPairs(proximity, config_.negatives_per_node, rng);
-  auto current_pairs = [&]() -> const std::vector<ag::PairTarget>& {
-    return pair_set ? pair_set->pairs() : pairs;
+
+  TrainLoop::StateHooks state;
+  state.save = [&](TrainingCheckpoint* c) {
+    PackRngState(adv_rng.state(), c->adv_rng_state, &c->adv_rng_has_gauss,
+                 &c->adv_rng_gauss);
+    const std::vector<ag::PairTarget>& current =
+        pair_set ? pair_set->pairs() : pairs;
+    c->pairs.reserve(current.size());
+    for (const ag::PairTarget& p : current)
+      c->pairs.push_back({p.u, p.v, p.target});
   };
-
-  AneciResult result;
-  double best_mod_loss = std::numeric_limits<double>::max();
-  int since_best = 0;
-
-  TrainingWatchdog watchdog(config_.watchdog);
-  const uint64_t fingerprint = ResilienceFingerprint(config_, graph);
-
-  // Snapshot of the complete loop state at an epoch boundary (the state seen
-  // at the top of epoch `next_epoch`, before any of its RNG draws).
-  auto capture = [&](int next_epoch) {
-    TrainingCheckpoint c;
-    c.config_fingerprint = fingerprint;
-    c.next_epoch = next_epoch;
-    c.adam_step = optimizer.step();
-    c.lr = optimizer.lr();
-    c.best_mod_loss = best_mod_loss;
-    c.since_best = since_best;
-    c.watchdog_rollbacks = watchdog.rollbacks();
-    c.watchdog_best_abs_loss = watchdog.best_abs_loss();
-    const Rng::State st = rng.state();
-    for (int i = 0; i < 4; ++i) c.rng_state[i] = st.s[i];
-    c.rng_has_gauss = st.has_gauss ? 1 : 0;
-    c.rng_gauss = st.gauss;
-    const Rng::State adv_st = adv_rng.state();
-    for (int i = 0; i < 4; ++i) c.adv_rng_state[i] = adv_st.s[i];
-    c.adv_rng_has_gauss = adv_st.has_gauss ? 1 : 0;
-    c.adv_rng_gauss = adv_st.gauss;
-    for (const VarPtr& p : params) c.params.push_back(ToBlob(p->value()));
-    for (const Matrix& m : optimizer.first_moments())
-      c.opt_m.push_back(ToBlob(m));
-    for (const Matrix& m : optimizer.second_moments())
-      c.opt_v.push_back(ToBlob(m));
-    c.pairs.reserve(current_pairs().size());
-    for (const ag::PairTarget& p : current_pairs())
-      c.pairs.push_back({p.u, p.v, p.target});
-    c.history = result.history;
-    return c;
-  };
-
-  auto restore = [&](const TrainingCheckpoint& c) -> Status {
-    if (c.config_fingerprint != fingerprint)
-      return Status::FailedPrecondition(
-          "checkpoint fingerprint mismatch: snapshot was written by a "
-          "different configuration or graph");
-    if (c.params.size() != params.size() ||
-        c.opt_m.size() != params.size() || c.opt_v.size() != params.size())
-      return Status::FailedPrecondition(
-          "checkpoint parameter count mismatch");
-    for (size_t k = 0; k < params.size(); ++k) {
-      if (!BlobShapeMatches(c.params[k], params[k]->value()) ||
-          !BlobShapeMatches(c.opt_m[k], params[k]->value()) ||
-          !BlobShapeMatches(c.opt_v[k], params[k]->value()))
-        return Status::FailedPrecondition(
-            "checkpoint tensor shape mismatch at parameter " +
-            std::to_string(k));
-    }
-    std::vector<Matrix> m, v;
-    for (size_t k = 0; k < params.size(); ++k) {
-      params[k]->mutable_value() = BlobToMatrix(c.params[k]);
-      m.push_back(BlobToMatrix(c.opt_m[k]));
-      v.push_back(BlobToMatrix(c.opt_v[k]));
-    }
-    optimizer.SetMoments(std::move(m), std::move(v));
-    optimizer.set_step(c.adam_step);
-    optimizer.set_lr(c.lr);
-    best_mod_loss = c.best_mod_loss;
-    since_best = c.since_best;
-    watchdog.Restore(c.watchdog_rollbacks, c.watchdog_best_abs_loss);
-    Rng::State st;
-    for (int i = 0; i < 4; ++i) st.s[i] = c.rng_state[i];
-    st.has_gauss = c.rng_has_gauss != 0;
-    st.gauss = c.rng_gauss;
-    rng.set_state(st);
-    Rng::State adv_st;
-    for (int i = 0; i < 4; ++i) adv_st.s[i] = c.adv_rng_state[i];
-    adv_st.has_gauss = c.adv_rng_has_gauss != 0;
-    adv_st.gauss = c.adv_rng_gauss;
-    adv_rng.set_state(adv_st);
+  state.restore = [&](const TrainingCheckpoint& c) {
+    adv_rng.set_state(UnpackRngState(c.adv_rng_state, c.adv_rng_has_gauss,
+                                     c.adv_rng_gauss));
     pairs.clear();
     pairs.reserve(c.pairs.size());
     for (const PairBlob& p : c.pairs) pairs.push_back({p.u, p.v, p.target});
     pair_set.reset();
-    result.history = c.history;
-    return Status::OK();
   };
 
-  int epoch = 0;
-  if (!config_.resume_from.empty()) {
-    StatusOr<TrainingCheckpoint> c =
-        LoadLatestCheckpoint(config_.resume_from, env);
-    if (c.ok()) {
-      ANECI_RETURN_IF_ERROR(restore(c.value()));
-      epoch = c.value().next_epoch;
-      result.resumed_from_epoch = epoch;
-      ring->Append("{\"type\":\"event\",\"class\":\"det\",\"name\":"
-                   "\"checkpoint_resume\",\"epoch\":" +
-                   std::to_string(epoch) + "}");
-    } else if (c.status().code() != StatusCode::kNotFound) {
-      // Corrupt beyond the .bak fallback — surface it rather than silently
-      // retraining from scratch.
-      return c.status();
-    }
-  }
+  TrainLoop loop({w1, b1, w2, b2},
+                 {.epochs = config_.epochs,
+                  .adam = {.lr = config_.lr,
+                           .weight_decay = config_.weight_decay},
+                  .rng = &rng,
+                  .state = std::move(state),
+                  .watchdog = config_.watchdog,
+                  .early_stop_patience = config_.early_stop_patience,
+                  .early_stop_min_delta = config_.early_stop_min_delta,
+                  .checkpoint_dir = config_.checkpoint_dir,
+                  .checkpoint_every = config_.checkpoint_every,
+                  .resume_from = config_.resume_from,
+                  .fingerprint = ResilienceFingerprint(config_, graph),
+                  .env = config_.env,
+                  .divergence_fault_hook = config_.divergence_fault_hook});
 
-  TrainingCheckpoint last_good;  // In-memory rollback target.
-  bool have_snapshot = false;
-  int last_snapshot_epoch = 0;
-
-  while (epoch < config_.epochs) {
-    // Watchdog snapshot at the epoch boundary, before this epoch's RNG
-    // draws, so a rollback replays the exact same trajectory modulo the
-    // decayed learning rate.
-    if (config_.watchdog.enabled &&
-        (!have_snapshot ||
-         epoch - last_snapshot_epoch >= config_.watchdog.snapshot_every)) {
-      last_good = capture(epoch);
-      have_snapshot = true;
-      last_snapshot_epoch = epoch;
-    }
-
+  // Per-epoch operators the loss graph points into; they must outlive the
+  // loop's Backward, so they live out here rather than in the closure.
+  SparseMatrix s_epoch, adv_proximity;
+  VarPtr z, p;  // This epoch's embeddings and memberships, for on_epoch.
+  auto loss_fn = [&](int epoch) {
     if (!dense_recon && config_.resample_every > 0 && epoch > 0 &&
         epoch % config_.resample_every == 0) {
       pairs =
@@ -326,7 +190,6 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     // both watchdog-rollback-safe and checkpoint-resumable.
     const bool adv_epoch =
         adv.enabled && (adv.every <= 1 || epoch % adv.every == 0);
-    SparseMatrix adv_proximity;
     const SparseMatrix* target = &proximity;
     double target_scale = two_m_scale;
     std::shared_ptr<const ag::PairSet> epoch_pairs = pair_set;
@@ -353,16 +216,13 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
       }
     }
 
-    optimizer.ZeroGrad();
-    // The sampled operator must stay alive through Backward().
-    SparseMatrix s_epoch;
     const SparseMatrix* prop = &s_norm;
     if (sampled_encoder) {
       s_epoch = SampleSageOperator(graph, config_.sage, rng);
       prop = &s_epoch;
     }
-    VarPtr z = forward(prop);
-    VarPtr p = ag::RowSoftmax(z);
+    z = forward(prop);
+    p = ag::RowSoftmax(z);
     VarPtr q = config_.modularity_variant == ModularityVariant::kProduct
                    ? GeneralizedModularityLoss(target, p)
                    : GeneralizedModularityMinLoss(target, p);
@@ -376,100 +236,33 @@ StatusOr<AneciResult> Aneci::TrainWithResilience(
     const double recon_pairs =
         dense_recon ? static_cast<double>(n) * n
                     : static_cast<double>(epoch_pairs->size());
-    VarPtr loss =
+    EpochLoss out =
         ag::Add(ag::Scale(q, -config_.beta1 * target_scale),
                 ag::Scale(recon, config_.beta2 * n / recon_pairs));
-    ag::Backward(loss);
-
-    double loss_value = loss->value()(0, 0);
-    if (config_.divergence_fault_hook && config_.divergence_fault_hook(epoch))
-      loss_value = std::numeric_limits<double>::quiet_NaN();
-
-    const WatchdogVerdict verdict = watchdog.Inspect(loss_value, params);
-    if (verdict != WatchdogVerdict::kHealthy) {
-      if (!have_snapshot || !watchdog.RecordRollback())
-        return Status::Internal(
-            std::string("training diverged (") + WatchdogVerdictName(verdict) +
-            " at epoch " + std::to_string(epoch) + ") after " +
-            std::to_string(watchdog.rollbacks()) +
-            " rollback(s); lr reached " + std::to_string(optimizer.lr()));
-      // Roll back to the last good boundary and retry with a decayed
-      // learning rate. The restore would also rewind the rollback
-      // accounting, so it is re-applied afterwards.
-      const int rollbacks_taken = watchdog.rollbacks();
-      ANECI_RETURN_IF_ERROR(restore(last_good));
-      watchdog.Restore(rollbacks_taken, watchdog.best_abs_loss());
-      const double decayed_lr = optimizer.lr() * config_.watchdog.lr_backoff;
-      optimizer.set_lr(decayed_lr);
-      last_good.lr = decayed_lr;
-      last_good.watchdog_rollbacks = rollbacks_taken;
-      rollbacks_taken_counter->Increment();
-      ring->Append("{\"type\":\"event\",\"class\":\"det\",\"name\":"
-                   "\"watchdog_rollback\",\"epoch\":" + std::to_string(epoch) +
-                   ",\"verdict\":\"" + WatchdogVerdictName(verdict) +
-                   "\",\"resumed_epoch\":" +
-                   std::to_string(last_good.next_epoch) +
-                   ",\"lr\":" + JsonDouble(decayed_lr) + "}");
-      epoch = last_good.next_epoch;
-      continue;
-    }
-
-    optimizer.Step();
-
-    AneciEpochStats stats;
-    stats.epoch = epoch;
-    stats.loss = loss_value;
-    stats.modularity = q->value()(0, 0);
-    stats.rigidity = Rigidity(p->value());
-    result.history.push_back(stats);
-    epochs_run->Increment();
-    last_loss->Set(loss_value);
-    ring->Append("{\"type\":\"epoch\",\"class\":\"det\",\"epoch\":" +
-                 std::to_string(epoch) +
-                 ",\"loss\":" + JsonDouble(loss_value) +
-                 ",\"modularity\":" + JsonDouble(stats.modularity) +
-                 ",\"rigidity\":" + JsonDouble(stats.rigidity) +
-                 ",\"grad_norm\":" + JsonDouble(GradNorm(params)) +
-                 ",\"lr\":" + JsonDouble(optimizer.lr()) + "}");
+    out.community = true;
+    out.modularity = q->value()(0, 0);
+    out.rigidity = Rigidity(p->value());
+    return out;
+  };
+  // Drops this epoch's graph once observed, so it is not held while the
+  // next epoch builds its own.
+  auto after_epoch = [&](const AneciEpochStats& stats) {
     if (on_epoch) on_epoch(stats, z->value(), p->value());
-
-    bool stop_early = false;
-    if (config_.early_stop_patience > 0) {
-      const double mod_loss = -stats.modularity;
-      if (mod_loss < best_mod_loss - config_.early_stop_min_delta) {
-        best_mod_loss = mod_loss;
-        since_best = 0;
-      } else if (++since_best >= config_.early_stop_patience) {
-        stop_early = true;
-      }
-    }
-
-    ++epoch;
-
-    if (!config_.checkpoint_dir.empty() && config_.checkpoint_every > 0 &&
-        (epoch % config_.checkpoint_every == 0 || epoch == config_.epochs ||
-         stop_early)) {
-      ANECI_RETURN_IF_ERROR(
-          SaveRotatingCheckpoint(capture(epoch), config_.checkpoint_dir, env));
-    }
-
-    if (stop_early) {
-      early_stops->Increment();
-      ring->Append("{\"type\":\"event\",\"class\":\"det\",\"name\":"
-                   "\"early_stop\",\"epoch\":" + std::to_string(epoch - 1) +
-                   "}");
-      break;
-    }
-  }
+    z.reset();
+    p.reset();
+  };
+  ANECI_RETURN_IF_ERROR(loop.Run(loss_fn, after_epoch));
 
   // Final forward pass with trained weights; inference always uses the
   // deterministic full-graph operator.
   TraceSpan final_span("final_forward");  // Path: train/aneci/final_forward.
-  VarPtr z = forward(&s_norm);
-  result.z = z->value();
+  AneciResult result;
+  result.z = forward(&s_norm)->value();
   result.p = RowSoftmax(result.z);
-  result.watchdog_rollbacks = watchdog.rollbacks();
-  result.final_lr = optimizer.lr();
+  result.history = loop.history();
+  result.resumed_from_epoch = loop.resumed_from_epoch();
+  result.watchdog_rollbacks = loop.rollbacks();
+  result.final_lr = loop.lr();
   return result;
 }
 

@@ -107,7 +107,7 @@ struct AneciConfig {
   /// Optional adversarial inner step (docs/robustness.md §10).
   AdversarialTrainingOptions adversarial;
 
-  // --- Training resilience (docs/robustness.md) ----------------------------
+  // --- Training resilience (docs/robustness.md; run by core/train_loop.h) --
 
   /// Directory for periodic on-disk snapshots (util/checkpoint.h); empty
   /// disables checkpointing.
@@ -126,9 +126,9 @@ struct AneciConfig {
   /// Checkpoint I/O goes through this Env; nullptr means Env::Default().
   /// Tests inject a FaultInjectingEnv here.
   Env* env = nullptr;
-  /// Test hook: epochs for which this returns true get their loss forced to
-  /// NaN after the backward pass, simulating numerical divergence so the
-  /// watchdog's rollback path can be exercised deterministically.
+  /// Test hook, passed to TrainLoop::Options::divergence_fault_hook: epochs
+  /// for which this returns true get their loss forced to NaN after the
+  /// backward pass, so the rollback path can be exercised deterministically.
   std::function<bool(int)> divergence_fault_hook;
 };
 

@@ -316,6 +316,24 @@ std::vector<ag::PairTarget> SampleReconstructionPairs(
   return pairs;
 }
 
+std::shared_ptr<const ag::PairSet> SampleEdgePairs(const Graph& graph,
+                                                   int negatives_per_edge,
+                                                   Rng& rng) {
+  const int n = graph.num_nodes();
+  std::vector<ag::PairTarget> pairs;
+  pairs.reserve(graph.num_edges() *
+                static_cast<size_t>(1 + negatives_per_edge));
+  for (const Edge& e : graph.edges()) {
+    pairs.push_back({e.u, e.v, 1.0});
+    for (int k = 0; k < negatives_per_edge; ++k) {
+      const int a = static_cast<int>(rng.NextInt(n));
+      const int b = static_cast<int>(rng.NextInt(n));
+      if (a != b && !graph.HasEdge(a, b)) pairs.push_back({a, b, 0.0});
+    }
+  }
+  return ag::PairSet::Build(std::move(pairs), n);
+}
+
 VarPtr SampledReconstructionLoss(const ag::VarPtr& p,
                                  std::shared_ptr<const ag::PairSet> pairs) {
   return ag::InnerProductPairBce(p, std::move(pairs));

@@ -11,6 +11,7 @@
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "graph/graph.h"
 #include "linalg/sparse.h"
 #include "util/rng.h"
 
@@ -46,6 +47,13 @@ ag::VarPtr DenseReconstructionLoss(const SparseMatrix* proximity,
 std::vector<ag::PairTarget> SampleReconstructionPairs(
     const SparseMatrix& proximity, int negatives_per_node, Rng& rng,
     bool binarize = false);
+
+/// GAE-style decoder targets: each edge of `graph` as a positive, each
+/// followed by `negatives_per_edge` draws of a random pair that become
+/// negatives unless they hit a self-pair or an edge.
+std::shared_ptr<const ag::PairSet> SampleEdgePairs(const Graph& graph,
+                                                   int negatives_per_edge,
+                                                   Rng& rng);
 
 /// Sampled L_R over an indexed pair set (ag::InnerProductPairBce). Build the
 /// set once per sample and reuse it across epochs.

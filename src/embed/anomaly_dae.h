@@ -10,7 +10,7 @@
 
 namespace aneci {
 
-class AnomalyDae final : public Embedder, public AnomalyScorer {
+class AnomalyDae final : public ScoringEmbedder {
  public:
   struct Options {
     int hidden_dim = 64;
@@ -28,12 +28,8 @@ class AnomalyDae final : public Embedder, public AnomalyScorer {
   std::string name() const override { return "AnomalyDAE"; }
 
  private:
-  Matrix EmbedImpl(const Graph& graph, const EmbedOptions& options) override;
-  std::vector<double> ScoreAnomaliesImpl(
-      const Graph& graph, const EmbedOptions& options) override;
-
   void Run(const Graph& graph, const EmbedOptions& options, Matrix* embedding,
-           std::vector<double>* scores) const;
+           std::vector<double>* scores) const override;
 
   Options options_;
 };

@@ -1,7 +1,6 @@
 #include "embed/dane.h"
 
 #include "autograd/ops.h"
-#include "autograd/optimizer.h"
 #include "core/losses.h"
 #include "graph/proximity.h"
 #include "util/check.h"
@@ -11,9 +10,7 @@ namespace aneci {
 using ag::VarPtr;
 
 Matrix Dane::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
-  Options opt = options_;
-  if (eo.dim > 1) opt.dim = eo.dim;
-  if (eo.epochs > 0) opt.epochs = eo.epochs;
+  const Options opt = WithOverrides(options_, eo);
   Rng& rng = *eo.rng;
   const int n = graph.num_nodes();
   ANECI_CHECK_GT(n, 0);
@@ -39,27 +36,22 @@ Matrix Dane::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   auto wdec = ag::MakeParameter(
       Matrix::GlorotUniform(half, features.cols(), rng));
 
-  ag::Adam::Options adam;
-  adam.lr = opt.lr;
-  ag::Adam optimizer({ws1, ws2, wa1, wa2, wdec}, adam);
-
-  Matrix final_out;
   auto pairs = ag::PairSet::Build(
       SampleReconstructionPairs(proximity, opt.negatives_per_node, rng,
                                 /*binarize=*/true),
       n);
 
-  for (int epoch = 0; epoch < opt.epochs; ++epoch) {
+  VarPtr zs, za;
+  TrainLoop loop({ws1, ws2, wa1, wa2, wdec},
+                 LoopOptions(opt, eo, SnapshotByCopy(&pairs)));
+  loop.RunOrDie([&](int epoch) {
     if (epoch % 25 == 24)
       pairs = ag::PairSet::Build(
           SampleReconstructionPairs(proximity, opt.negatives_per_node, rng),
           n);
-    optimizer.ZeroGrad();
 
-    VarPtr zs = ag::MatMul(
-        ag::LeakyRelu(ag::SpMM(&proximity, ws1), 0.01), ws2);
-    VarPtr za = ag::MatMul(
-        ag::LeakyRelu(ag::SpMM(&x_sparse, wa1), 0.01), wa2);
+    zs = ag::MatMul(ag::LeakyRelu(ag::SpMM(&proximity, ws1), 0.01), ws2);
+    za = ag::MatMul(ag::LeakyRelu(ag::SpMM(&x_sparse, wa1), 0.01), wa2);
 
     // Structure reconstruction via inner product on the structure view.
     // Kept as a raw sum (GAE-style) so gradients are strong enough to train
@@ -74,16 +66,9 @@ Matrix Dane::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
     // Cross-view consistency.
     VarPtr l_cons = ag::Scale(ag::SumSquares(ag::Sub(zs, za)),
                               opt.consistency_weight * per_node);
-
-    VarPtr loss = ag::Add(ag::Add(l_struct, l_attr), l_cons);
-    ag::Backward(loss);
-    optimizer.Step();
-    if (eo.observer != nullptr) eo.observer->OnEpoch(epoch, loss->value()(0, 0));
-
-    if (epoch == opt.epochs - 1)
-      final_out = Matrix::ConcatColumns(zs->value(), za->value());
-  }
-  return final_out;
+    return ag::Add(ag::Add(l_struct, l_attr), l_cons);
+  });
+  return Matrix::ConcatColumns(zs->value(), za->value());
 }
 
 }  // namespace aneci

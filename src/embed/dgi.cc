@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "autograd/ops.h"
-#include "autograd/optimizer.h"
 #include "util/check.h"
 
 namespace aneci {
@@ -11,9 +10,7 @@ namespace aneci {
 using ag::VarPtr;
 
 Matrix Dgi::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
-  Options opt = options_;
-  if (eo.dim > 1) opt.dim = eo.dim;
-  if (eo.epochs > 0) opt.epochs = eo.epochs;
+  const Options opt = WithOverrides(options_, eo);
   Rng& rng = *eo.rng;
   const int n = graph.num_nodes();
   ANECI_CHECK_GT(n, 0);
@@ -26,23 +23,19 @@ Matrix Dgi::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   auto w_disc = ag::MakeParameter(
       Matrix::GlorotUniform(opt.dim, opt.dim, rng));
 
-  ag::Adam::Options adam;
-  adam.lr = opt.lr;
-  ag::Adam optimizer({w1, w_disc}, adam);
-
-  Matrix final_h;
-  for (int epoch = 0; epoch < opt.epochs; ++epoch) {
-    optimizer.ZeroGrad();
-
+  // The corrupted features must outlive the loop's Backward.
+  SparseMatrix x_corrupt;
+  VarPtr h;
+  TrainLoop({w1, w_disc}, LoopOptions(opt, eo)).RunOrDie([&](int) {
     // Corruption: shuffle feature rows, keep the topology.
     std::vector<int> perm(n);
     std::iota(perm.begin(), perm.end(), 0);
     for (int i = n - 1; i > 0; --i)
       std::swap(perm[i], perm[rng.NextInt(i + 1)]);
-    const SparseMatrix x_corrupt = x_sparse.SelectRows(perm);
+    x_corrupt = x_sparse.SelectRows(perm);
 
     // Encoder on the real and corrupted graphs.
-    VarPtr h = ag::Relu(ag::SpMM(&s_norm, ag::SpMM(&x_sparse, w1)));
+    h = ag::Relu(ag::SpMM(&s_norm, ag::SpMM(&x_sparse, w1)));
     VarPtr h_neg = ag::Relu(ag::SpMM(&s_norm, ag::SpMM(&x_corrupt, w1)));
 
     // Readout: sigmoid of the mean patch representation.
@@ -59,14 +52,9 @@ Matrix Dgi::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
     VarPtr loss =
         ag::Add(ag::BinaryCrossEntropySum(ag::Sigmoid(pos_scores), ones),
                 ag::BinaryCrossEntropySum(ag::Sigmoid(neg_scores), zeros));
-    loss = ag::Scale(loss, 1.0 / (2.0 * n));
-
-    ag::Backward(loss);
-    optimizer.Step();
-    if (eo.observer != nullptr) eo.observer->OnEpoch(epoch, loss->value()(0, 0));
-    if (epoch == opt.epochs - 1) final_h = h->value();
-  }
-  return final_h;
+    return ag::Scale(loss, 1.0 / (2.0 * n));
+  });
+  return h->value();
 }
 
 }  // namespace aneci

@@ -9,7 +9,7 @@
 
 namespace aneci {
 
-class Dominant final : public Embedder, public AnomalyScorer {
+class Dominant final : public ScoringEmbedder {
  public:
   struct Options {
     int hidden_dim = 64;
@@ -27,12 +27,8 @@ class Dominant final : public Embedder, public AnomalyScorer {
   std::string name() const override { return "Dominant"; }
 
  private:
-  Matrix EmbedImpl(const Graph& graph, const EmbedOptions& options) override;
-  std::vector<double> ScoreAnomaliesImpl(
-      const Graph& graph, const EmbedOptions& options) override;
-
   void Run(const Graph& graph, const EmbedOptions& options, Matrix* embedding,
-           std::vector<double>* scores) const;
+           std::vector<double>* scores) const override;
 
   Options options_;
 };

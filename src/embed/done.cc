@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "autograd/optimizer.h"
 #include "core/losses.h"
 #include "embed/decoder_errors.h"
 #include "util/check.h"
@@ -37,9 +36,7 @@ std::vector<double> ErrorsToWeights(const std::vector<double>& errors) {
 
 void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
                std::vector<double>* scores) const {
-  Options opt = options_;
-  if (eo.dim > 1) opt.dim = eo.dim;
-  if (eo.epochs > 0) opt.epochs = eo.epochs;
+  const Options opt = WithOverrides(options_, eo);
   Rng& rng = *eo.rng;
   const int n = graph.num_nodes();
   ANECI_CHECK_GT(n, 0);
@@ -62,11 +59,8 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
   // ADONE discriminator: logistic direction separating the two views.
   auto wdisc = ag::MakeParameter(Matrix::GlorotUniform(half, 1, rng));
 
-  std::vector<VarPtr> enc_params = {ws1, ws2, wa1, wa2, wdec};
-  ag::Adam::Options adam;
-  adam.lr = opt.lr;
-  ag::Adam optimizer(enc_params, adam);
-  ag::Adam disc_optimizer({wdisc}, adam);
+  std::vector<VarPtr> params = {ws1, ws2, wa1, wa2, wdec};
+  if (opt.adversarial) params.push_back(wdisc);
 
   const auto pairs = ag::PairSet::Build(
       SampleReconstructionPairs(a_norm, opt.negatives_per_node, rng,
@@ -78,12 +72,10 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
   const auto edge_pairs = ag::PairSet::Build(std::move(edge_list), n);
   std::vector<double> weights(n, 1.0);
 
-  Matrix zs_final, za_final, xhat_final;
-  for (int epoch = 0; epoch < opt.epochs; ++epoch) {
-    optimizer.ZeroGrad();
-
-    VarPtr zs = ag::MatMul(ag::LeakyRelu(ag::SpMM(&a_norm, ws1), 0.01), ws2);
-    VarPtr za = ag::MatMul(ag::LeakyRelu(ag::SpMM(&x_sparse, wa1), 0.01), wa2);
+  VarPtr zs, za, xhat;
+  auto loss_fn = [&](int) {
+    zs = ag::MatMul(ag::LeakyRelu(ag::SpMM(&a_norm, ws1), 0.01), ws2);
+    za = ag::MatMul(ag::LeakyRelu(ag::SpMM(&x_sparse, wa1), 0.01), wa2);
 
     // Structure reconstruction (outlier-weighted through the pair targets is
     // approximated by node weights on the homophily + attribute terms).
@@ -91,7 +83,7 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
     const double per_node = static_cast<double>(pairs->size()) / n;
 
     // Attribute reconstruction, weighted per node by the outlier weights.
-    VarPtr xhat = ag::MatMul(za, wdec);
+    xhat = ag::MatMul(za, wdec);
     Matrix weight_rows(n, features.cols());
     for (int i = 0; i < n; ++i) {
       double* row = weight_rows.RowPtr(i);
@@ -111,73 +103,50 @@ void Done::Run(const Graph& graph, const EmbedOptions& eo, Matrix* embedding,
         opt.homophily_weight);
 
     VarPtr loss = ag::Add(ag::Add(l_struct, l_attr), l_hom);
+    if (!opt.adversarial) return loss;
 
-    if (opt.adversarial) {
-      // Generator step: both views should fool the discriminator toward 0.5;
-      // implemented as minimising the squared discriminator margin.
-      VarPtr margin = ag::Sub(ag::MatMul(zs, wdisc), ag::MatMul(za, wdisc));
-      loss = ag::Add(loss, ag::Scale(ag::SumSquares(margin), 0.1 / n));
-    }
-
-    ag::Backward(loss);
-    optimizer.Step();
-    if (eo.observer != nullptr) eo.observer->OnEpoch(epoch, loss->value()(0, 0));
-
-    if (opt.adversarial) {
-      // Discriminator step: separate the (detached) views.
-      disc_optimizer.ZeroGrad();
-      VarPtr zs_c = ag::MakeConstant(zs->value());
-      VarPtr za_c = ag::MakeConstant(za->value());
-      Matrix ones(n, 1, 1.0), zeros(n, 1, 0.0);
-      VarPtr d_loss = ag::Scale(
-          ag::Add(ag::BinaryCrossEntropySum(
-                      ag::Sigmoid(ag::MatMul(zs_c, wdisc)), ones),
-                  ag::BinaryCrossEntropySum(
-                      ag::Sigmoid(ag::MatMul(za_c, wdisc)), zeros)),
-          1.0 / (2.0 * n));
-      ag::Backward(d_loss);
-      disc_optimizer.Step();
-    }
-
-    // Refresh outlier weights from the current per-node errors.
-    if (opt.reweight_every > 0 &&
-        (epoch + 1) % opt.reweight_every == 0) {
-      const DecoderErrors err = ComputeDecoderErrors(
-          zs->value(), pairs->pairs(), xhat->value(), features);
-      std::vector<double> combined(n);
-      for (int i = 0; i < n; ++i)
-        combined[i] = err.attribute[i] + err.structure[i];
-      weights = ErrorsToWeights(combined);
-    }
-
-    if (epoch == opt.epochs - 1) {
-      zs_final = zs->value();
-      za_final = za->value();
-      xhat_final = xhat->value();
-    }
-  }
+    // Generator term: both views should fool the discriminator toward 0.5;
+    // implemented as minimising the squared discriminator margin. It sees
+    // the discriminator as a constant, so only the encoders move.
+    VarPtr wdisc_c = ag::MakeConstant(wdisc->value());
+    VarPtr margin = ag::Sub(ag::MatMul(zs, wdisc_c), ag::MatMul(za, wdisc_c));
+    loss = ag::Add(loss, ag::Scale(ag::SumSquares(margin), 0.1 / n));
+    // Discriminator term: separate the views, seen as constants, so only
+    // the discriminator moves.
+    VarPtr zs_c = ag::MakeConstant(zs->value());
+    VarPtr za_c = ag::MakeConstant(za->value());
+    Matrix ones(n, 1, 1.0), zeros(n, 1, 0.0);
+    VarPtr d_loss = ag::Scale(
+        ag::Add(ag::BinaryCrossEntropySum(
+                    ag::Sigmoid(ag::MatMul(zs_c, wdisc)), ones),
+                ag::BinaryCrossEntropySum(
+                    ag::Sigmoid(ag::MatMul(za_c, wdisc)), zeros)),
+        1.0 / (2.0 * n));
+    return ag::Add(loss, d_loss);
+  };
+  // Refresh outlier weights from the current per-node errors.
+  auto reweight = [&](const EpochStatBlob& stats) {
+    if (opt.reweight_every <= 0 || (stats.epoch + 1) % opt.reweight_every != 0)
+      return;
+    const DecoderErrors err = ComputeDecoderErrors(
+        zs->value(), pairs->pairs(), xhat->value(), features);
+    std::vector<double> combined(n);
+    for (int i = 0; i < n; ++i)
+      combined[i] = err.attribute[i] + err.structure[i];
+    weights = ErrorsToWeights(combined);
+  };
+  TrainLoop(params, LoopOptions(opt, eo, SnapshotByCopy(&weights)))
+      .RunOrDie(loss_fn, reweight);
 
   if (embedding != nullptr)
-    *embedding = Matrix::ConcatColumns(zs_final, za_final);
+    *embedding = Matrix::ConcatColumns(zs->value(), za->value());
   if (scores != nullptr) {
     // Anomaly score: mean of the max-normalised structure + attribute errors.
     *scores = MixDecoderErrors(
-        ComputeDecoderErrors(zs_final, pairs->pairs(), xhat_final, features),
+        ComputeDecoderErrors(zs->value(), pairs->pairs(), xhat->value(),
+                             features),
         0.5);
   }
-}
-
-Matrix Done::EmbedImpl(const Graph& graph, const EmbedOptions& options) {
-  Matrix embedding;
-  Run(graph, options, &embedding, nullptr);
-  return embedding;
-}
-
-std::vector<double> Done::ScoreAnomaliesImpl(const Graph& graph,
-                                             const EmbedOptions& options) {
-  std::vector<double> scores;
-  Run(graph, options, nullptr, &scores);
-  return scores;
 }
 
 }  // namespace aneci

@@ -10,7 +10,7 @@
 
 namespace aneci {
 
-class Done : public Embedder, public AnomalyScorer {
+class Done : public ScoringEmbedder {
  public:
   struct Options {
     int hidden_dim = 64;
@@ -31,13 +31,9 @@ class Done : public Embedder, public AnomalyScorer {
   }
 
  private:
-  Matrix EmbedImpl(const Graph& graph, const EmbedOptions& options) override;
-  std::vector<double> ScoreAnomaliesImpl(
-      const Graph& graph, const EmbedOptions& options) override;
-
   /// Runs training; fills embedding and per-node scores.
   void Run(const Graph& graph, const EmbedOptions& options, Matrix* embedding,
-           std::vector<double>* scores) const;
+           std::vector<double>* scores) const override;
 
   Options options_;
 };

@@ -14,22 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "core/train_loop.h"  // TrainObserver.
 #include "graph/graph.h"
 #include "linalg/matrix.h"
 #include "util/rng.h"
 #include "util/status.h"
 
 namespace aneci {
-
-/// Per-epoch training hook. Methods that train by gradient descent call
-/// OnEpoch once per epoch with that epoch's loss; closed-form methods
-/// (HOPE, LapEigen) never call it. Observers must tolerate method-specific
-/// loss scales — only the trend within one run is comparable.
-class TrainObserver {
- public:
-  virtual ~TrainObserver() = default;
-  virtual void OnEpoch(int epoch, double loss) = 0;
-};
 
 /// Run-time options shared by every embedder. `rng` is required; the
 /// remaining fields are overrides applied on top of each method's
@@ -47,6 +38,29 @@ struct EmbedOptions {
   int epochs = 0;
   TrainObserver* observer = nullptr;
 };
+
+/// A method's configured options with `eo`'s width override applied, and
+/// its epoch override when the method has an `epochs` field.
+template <typename Options>
+Options WithOverrides(Options options, const EmbedOptions& eo) {
+  if (eo.dim > 1) options.dim = eo.dim;
+  if constexpr (requires { options.epochs; }) {
+    if (eo.epochs > 0) options.epochs = eo.epochs;
+  }
+  return options;
+}
+
+/// TrainLoop options of a gradient-trained method: `opt.epochs` epochs of
+/// Adam at `opt.lr`, drawing from eo.rng and reporting to eo.observer.
+template <typename Options>
+TrainLoop::Options LoopOptions(const Options& opt, const EmbedOptions& eo,
+                               TrainLoop::StateHooks state = {}) {
+  return {.epochs = opt.epochs,
+          .adam = {.lr = opt.lr},
+          .rng = eo.rng,
+          .observer = eo.observer,
+          .state = std::move(state)};
+}
 
 class Embedder {
  public:
@@ -79,6 +93,28 @@ class AnomalyScorer {
  protected:
   virtual std::vector<double> ScoreAnomaliesImpl(
       const Graph& graph, const EmbedOptions& options) = 0;
+};
+
+/// A method whose one training run yields both the embedding and native
+/// anomaly scores (Dominant, DONE, ADONE, AnomalyDAE). It implements Run,
+/// which fills whichever of the two outputs is non-null.
+class ScoringEmbedder : public Embedder, public AnomalyScorer {
+ protected:
+  virtual void Run(const Graph& graph, const EmbedOptions& options,
+                   Matrix* embedding, std::vector<double>* scores) const = 0;
+
+ private:
+  Matrix EmbedImpl(const Graph& graph, const EmbedOptions& options) final {
+    Matrix embedding;
+    Run(graph, options, &embedding, nullptr);
+    return embedding;
+  }
+  std::vector<double> ScoreAnomaliesImpl(const Graph& graph,
+                                         const EmbedOptions& options) final {
+    std::vector<double> scores;
+    Run(graph, options, nullptr, &scores);
+    return scores;
+  }
 };
 
 /// Factory over the baseline registry. Known names (case-sensitive):

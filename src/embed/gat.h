@@ -9,10 +9,11 @@
 
 #include "data/datasets.h"
 #include "embed/embedder.h"
+#include "embed/gcn_classifier.h"
 
 namespace aneci {
 
-class GatClassifier {
+class GatClassifier : public NodeClassifier {
  public:
   struct Options {
     int hidden_dim = 32;
@@ -26,13 +27,9 @@ class GatClassifier {
   GatClassifier() : options_() {}
 
   void Fit(const Dataset& dataset, Rng& rng);
-  const std::vector<int>& predictions() const { return predictions_; }
-  double Accuracy(const Dataset& dataset,
-                  const std::vector<int>& eval_idx) const;
 
  private:
   Options options_;
-  std::vector<int> predictions_;
 };
 
 class Gate final : public Embedder {

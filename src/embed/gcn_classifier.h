@@ -15,7 +15,21 @@
 
 namespace aneci {
 
-class GcnClassifier {
+/// What a trained semi-supervised node classifier exposes.
+class NodeClassifier {
+ public:
+  /// Predicted class per node of the graph used at Fit time.
+  const std::vector<int>& predictions() const { return predictions_; }
+
+  /// Test accuracy on the given node set.
+  double Accuracy(const Dataset& dataset,
+                  const std::vector<int>& eval_idx) const;
+
+ protected:
+  std::vector<int> predictions_;
+};
+
+class GcnClassifier : public NodeClassifier {
  public:
   struct Options {
     int hidden_dim = 32;
@@ -30,16 +44,8 @@ class GcnClassifier {
   /// Trains on dataset.train_idx with the labels of the dataset graph.
   void Fit(const Dataset& dataset, Rng& rng);
 
-  /// Predicted class per node of the graph used at Fit time.
-  const std::vector<int>& predictions() const { return predictions_; }
-
-  /// Test accuracy on the given node set.
-  double Accuracy(const Dataset& dataset,
-                  const std::vector<int>& eval_idx) const;
-
  private:
   Options options_;
-  std::vector<int> predictions_;
 };
 
 }  // namespace aneci

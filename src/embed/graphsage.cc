@@ -1,7 +1,6 @@
 #include "embed/graphsage.h"
 
 #include "autograd/ops.h"
-#include "autograd/optimizer.h"
 #include "core/sage_encoder.h"
 #include "embed/deepwalk.h"
 #include "util/check.h"
@@ -11,9 +10,7 @@ namespace aneci {
 using ag::VarPtr;
 
 Matrix GraphSage::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
-  Options opt = options_;
-  if (eo.dim > 1) opt.dim = eo.dim;
-  if (eo.epochs > 0) opt.epochs = eo.epochs;
+  const Options opt = WithOverrides(options_, eo);
   Rng& rng = *eo.rng;
   const int n = graph.num_nodes();
   ANECI_CHECK_GT(n, 0);
@@ -25,10 +22,6 @@ Matrix GraphSage::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   auto w2 = ag::MakeParameter(
       Matrix::GlorotUniform(opt.hidden_dim, opt.dim, rng));
 
-  ag::Adam::Options adam;
-  adam.lr = opt.lr;
-  ag::Adam optimizer({w1, w2}, adam);
-
   SageSamplerOptions sampler;
   sampler.fanout = opt.fanout;
 
@@ -36,13 +29,12 @@ Matrix GraphSage::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
   walk_opt.walk_length = opt.walk_length;
   walk_opt.walks_per_node = opt.walks_per_node;
 
-  Matrix final_h;
-  for (int epoch = 0; epoch < opt.epochs; ++epoch) {
-    optimizer.ZeroGrad();
-
-    // Fresh sampled aggregation operators each epoch (two-layer depth).
-    SparseMatrix s1 = SampleSageOperator(graph, sampler, rng);
-    SparseMatrix s2 = SampleSageOperator(graph, sampler, rng);
+  // This epoch's sampled aggregation operators (two-layer depth); they
+  // must outlive the loop's Backward.
+  SparseMatrix s1, s2;
+  TrainLoop({w1, w2}, LoopOptions(opt, eo)).RunOrDie([&](int) {
+    s1 = SampleSageOperator(graph, sampler, rng);
+    s2 = SampleSageOperator(graph, sampler, rng);
     VarPtr h1 = ag::Relu(ag::SpMM(&s1, ag::SpMM(&x_sparse, w1)));
     VarPtr h = ag::SpMM(&s2, ag::MatMul(h1, w2));
 
@@ -62,21 +54,13 @@ Matrix GraphSage::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
         if (j != i && !graph.HasEdge(i, j)) pairs.push_back({i, j, 0.0});
       }
     }
+    return ag::InnerProductPairBce(h, ag::PairSet::Build(std::move(pairs), n));
+  });
 
-    VarPtr loss =
-        ag::InnerProductPairBce(h, ag::PairSet::Build(std::move(pairs), n));
-    ag::Backward(loss);
-    optimizer.Step();
-    if (eo.observer != nullptr) eo.observer->OnEpoch(epoch, loss->value()(0, 0));
-
-    if (epoch == opt.epochs - 1) {
-      // Deterministic full-neighbourhood forward for the final embedding.
-      const SparseMatrix full = graph.Adjacency(true).RowNormalizedL1();
-      VarPtr h1_full = ag::Relu(ag::SpMM(&full, ag::SpMM(&x_sparse, w1)));
-      final_h = ag::SpMM(&full, ag::MatMul(h1_full, w2))->value();
-    }
-  }
-  return final_h;
+  // Deterministic full-neighbourhood forward for the final embedding.
+  const SparseMatrix full = graph.Adjacency(true).RowNormalizedL1();
+  VarPtr h1_full = ag::Relu(ag::SpMM(&full, ag::SpMM(&x_sparse, w1)));
+  return ag::SpMM(&full, ag::MatMul(h1_full, w2))->value();
 }
 
 }  // namespace aneci

@@ -45,8 +45,7 @@ inline void PairUpdate(double* u, double* v, int dim, double label, double lr,
 }  // namespace
 
 Matrix Line::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
-  Options opt = options_;
-  if (eo.dim > 1) opt.dim = eo.dim;
+  const Options opt = WithOverrides(options_, eo);
   Rng& rng = *eo.rng;
   const int n = graph.num_nodes();
   const int m = graph.num_edges();

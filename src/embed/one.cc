@@ -26,8 +26,7 @@ inline double FactorStep(double* u, double* v, int dim, double target,
 }  // namespace
 
 Matrix One::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
-  Options opt = options_;
-  if (eo.dim > 1) opt.dim = eo.dim;
+  Options opt = WithOverrides(options_, eo);
   // `epochs` counts gradient passes elsewhere; one round here runs
   // inner_steps passes over every edge and attribute, so scale it down.
   if (eo.epochs > 0) opt.rounds = std::clamp(eo.epochs / 8, 4, 30);

@@ -1,7 +1,6 @@
 #include "embed/sdne.h"
 
 #include "autograd/ops.h"
-#include "autograd/optimizer.h"
 #include "core/losses.h"
 #include "util/check.h"
 
@@ -10,9 +9,7 @@ namespace aneci {
 using ag::VarPtr;
 
 Matrix Sdne::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
-  Options opt = options_;
-  if (eo.dim > 1) opt.dim = eo.dim;
-  if (eo.epochs > 0) opt.epochs = eo.epochs;
+  const Options opt = WithOverrides(options_, eo);
   Rng& rng = *eo.rng;
   const int n = graph.num_nodes();
   ANECI_CHECK_GT(n, 0);
@@ -24,10 +21,6 @@ Matrix Sdne::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
       ag::MakeParameter(Matrix::GlorotUniform(n, opt.hidden_dim, rng));
   auto w2 = ag::MakeParameter(
       Matrix::GlorotUniform(opt.hidden_dim, opt.dim, rng));
-
-  ag::Adam::Options adam;
-  adam.lr = opt.lr;
-  ag::Adam optimizer({w1, w2}, adam);
 
   // Second-order loss via inner-product reconstruction with beta-weighted
   // positives: each observed link appears beta times as strongly as a
@@ -49,32 +42,22 @@ Matrix Sdne::EmbedImpl(const Graph& graph, const EmbedOptions& eo) {
     edge_v.push_back(e.v);
   }
 
-  Matrix final_h;
-  for (int epoch = 0; epoch < opt.epochs; ++epoch) {
-    optimizer.ZeroGrad();
-    VarPtr h = ag::MatMul(ag::LeakyRelu(ag::SpMM(&a_norm, w1), 0.01), w2);
+  VarPtr h;
+  TrainLoop({w1, w2}, LoopOptions(opt, eo)).RunOrDie([&](int) {
+    h = ag::MatMul(ag::LeakyRelu(ag::SpMM(&a_norm, w1), 0.01), w2);
 
     // L2nd: positives repeated with weight beta via Scale on a separate
     // positive-only loss (equivalent to the B weighting).
     VarPtr l2nd =
         ag::Add(ag::Scale(ag::InnerProductPairBce(h, positives), opt.beta),
                 ag::InnerProductPairBce(h, negatives));
+    if (edge_u.empty()) return l2nd;
 
     // L1st: sum over edges of ||h_u - h_v||^2.
-    VarPtr l1st;
-    if (!edge_u.empty()) {
-      VarPtr diff =
-          ag::Sub(ag::SelectRows(h, edge_u), ag::SelectRows(h, edge_v));
-      l1st = ag::Scale(ag::SumSquares(diff), opt.alpha);
-    }
-
-    VarPtr loss = l1st ? ag::Add(l2nd, l1st) : l2nd;
-    ag::Backward(loss);
-    optimizer.Step();
-    if (eo.observer != nullptr) eo.observer->OnEpoch(epoch, loss->value()(0, 0));
-    if (epoch == opt.epochs - 1) final_h = h->value();
-  }
-  return final_h;
+    VarPtr diff = ag::Sub(ag::SelectRows(h, edge_u), ag::SelectRows(h, edge_v));
+    return ag::Add(l2nd, ag::Scale(ag::SumSquares(diff), opt.alpha));
+  });
+  return h->value();
 }
 
 }  // namespace aneci

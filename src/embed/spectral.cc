@@ -19,8 +19,7 @@ SparseMatrix NormalizedLaplacian(const Graph& graph) {
 
 Matrix LaplacianEigenmaps::EmbedImpl(const Graph& graph,
                                      const EmbedOptions& eo) {
-  Options opt = options_;
-  if (eo.dim > 1) opt.dim = eo.dim;
+  const Options opt = WithOverrides(options_, eo);
   Rng& rng = *eo.rng;
   const int n = graph.num_nodes();
   ANECI_CHECK_GT(n, 1);

@@ -4,6 +4,8 @@
 #include <climits>
 #include <cmath>
 #include <cstdlib>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -55,6 +57,9 @@ Status SaveGraph(const Graph& graph, const std::string& path, Env* env) {
   }
   if (graph.has_attributes()) {
     const SparseMatrix& x = graph.attributes();
+    // Enough digits that LoadGraph's strtod reads back the same double;
+    // integral values such as binary attributes still print as "1".
+    out << std::setprecision(std::numeric_limits<double>::max_digits10);
     out << "attributes " << x.cols() << "\n";
     for (int r = 0; r < x.rows(); ++r) {
       out << x.RowNnz(r);

@@ -24,12 +24,14 @@
 #ifndef ANECI_UTIL_CHECKPOINT_H_
 #define ANECI_UTIL_CHECKPOINT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "util/env.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace aneci {
@@ -93,6 +95,23 @@ struct TrainingCheckpoint {
   std::vector<PairBlob> pairs;
   std::vector<EpochStatBlob> history;
 };
+
+/// Copies an RNG state into one of the checkpoint's flat stream triples
+/// (rng_* or adv_rng_*), and back.
+inline void PackRngState(const Rng::State& state, uint64_t* words,
+                         uint8_t* has_gauss, double* gauss) {
+  std::copy(state.s, state.s + 4, words);
+  *has_gauss = state.has_gauss ? 1 : 0;
+  *gauss = state.gauss;
+}
+inline Rng::State UnpackRngState(const uint64_t* words, uint8_t has_gauss,
+                                 double gauss) {
+  Rng::State state;
+  std::copy(words, words + 4, state.s);
+  state.has_gauss = has_gauss != 0;
+  state.gauss = gauss;
+  return state;
+}
 
 /// Serialises to the full file byte string (header + CRC + payload).
 std::string SerializeCheckpoint(const TrainingCheckpoint& checkpoint);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "data/sbm.h"
 #include "graph/components.h"
 #include "graph/graph.h"
@@ -171,6 +173,10 @@ TEST(GraphIo, RoundTripWithLabelsAndAttributes) {
   Matrix x(3, 4);
   x(0, 1) = 1.0;
   x(2, 3) = -2.5;
+  // Non-binary values that need all 17 significant digits to round-trip.
+  x(0, 2) = 1.0 / 3.0;
+  x(1, 0) = 1.0 / 11.0;
+  x(2, 1) = 0.1;
   g.SetAttributes(SparseMatrix::FromDense(x));
 
   const std::string path = testing::TempDir() + "/graph_roundtrip.txt";
@@ -184,6 +190,14 @@ TEST(GraphIo, RoundTripWithLabelsAndAttributes) {
   EXPECT_DOUBLE_EQ(h.attributes().At(0, 1), 1.0);
   EXPECT_DOUBLE_EQ(h.attributes().At(2, 3), -2.5);
   EXPECT_DOUBLE_EQ(h.attributes().At(1, 2), 0.0);
+  // Every stored value survives save/load bit for bit.
+  const std::vector<double>& saved = g.attributes().values();
+  const std::vector<double>& read = h.attributes().values();
+  ASSERT_EQ(read.size(), saved.size());
+  EXPECT_EQ(std::memcmp(read.data(), saved.data(),
+                        saved.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(h.attributes().col_idx(), g.attributes().col_idx());
 }
 
 TEST(GraphIo, LoadRejectsMissingFile) {

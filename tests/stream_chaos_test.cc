@@ -5,7 +5,9 @@
 // refresh-veto whose rollback must restore the last healthy embedding
 // snapshot byte-for-byte. The replay-identity leg asserts the per-batch
 // JSONL is byte-identical at ANECI_THREADS=1 and 4. Runs under TSan in CI.
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -217,6 +219,78 @@ TEST(StreamChaosTest, ReplayIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(static_cast<size_t>(std::count(jsonl_one.begin(), jsonl_one.end(),
                                            '\n')),
             w.log.size());
+}
+
+// --- Replay identity with attribute updates ----------------------------------
+
+// The scenario generator emits only edge events, so this leg splices
+// set-attribute events into every batch of the generated log: the update
+// path (dense patch, CSR rebuild, refresh over the new features) must replay
+// byte-identically at any thread count too.
+std::vector<EventBatch> WithAttributeUpdates(std::vector<EventBatch> log,
+                                             const Graph& graph) {
+  Rng rng(29);
+  for (EventBatch& batch : log) {
+    for (int k = 0; k < 3; ++k) {
+      const int node = static_cast<int>(rng.NextInt(graph.num_nodes()));
+      const int column = static_cast<int>(rng.NextInt(graph.attribute_dim()));
+      // Non-binary values, unlike the SBM's bag-of-words attributes.
+      const double value = 1.0 / (3.0 + rng.NextInt(9));
+      const size_t at = rng.NextInt(batch.events.size() + 1);
+      batch.events.insert(batch.events.begin() + at,
+                          GraphEvent::SetAttribute(node, column, value));
+    }
+  }
+  return log;
+}
+
+struct ReplayOutput {
+  std::string jsonl;
+  std::string artifact;
+  std::vector<double> attributes;
+};
+
+ReplayOutput Replay(const std::vector<EventBatch>& log, int threads) {
+  ScopedNumThreads guard(threads);
+  std::unique_ptr<StreamEngine> engine = MakeEngine(ChaosOptions());
+  auto reports = engine->ProcessLog(log);
+  EXPECT_TRUE(reports.ok()) << reports.status().ToString();
+  return {engine->SummaryJsonl(),
+          serve::SerializeModelArtifact(serve::BuildModelArtifact(
+              engine->graph(), engine->z(), engine->p())),
+          engine->graph().attributes().values()};
+}
+
+TEST(StreamChaosTest, ReplayWithAttributeUpdatesIsByteIdentical) {
+  const ChaosWorld& w = World();
+  // Through the ANEL encoding, as a replayed log file would arrive.
+  auto parsed = ParseEventLog(
+      SerializeEventLog(WithAttributeUpdates(w.log, w.graph)), "spliced");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::vector<EventBatch>& log = parsed.value();
+  const ReplayOutput one = Replay(log, 1);
+  const ReplayOutput four = Replay(log, 4);
+
+  // Every batch applied its three updates (attribute edits are never
+  // redundant, and no batch was rejected).
+  ASSERT_EQ(static_cast<size_t>(
+                std::count(one.jsonl.begin(), one.jsonl.end(), '\n')),
+            log.size());
+  size_t updated_batches = 0;
+  for (size_t pos = one.jsonl.find("\"attributes_updated\":3");
+       pos != std::string::npos;
+       pos = one.jsonl.find("\"attributes_updated\":3", pos + 1))
+    ++updated_batches;
+  EXPECT_EQ(updated_batches, log.size());
+
+  EXPECT_EQ(one.jsonl, four.jsonl);
+  EXPECT_EQ(one.artifact, four.artifact);
+  ASSERT_EQ(one.attributes.size(), four.attributes.size());
+  EXPECT_EQ(std::memcmp(one.attributes.data(), four.attributes.data(),
+                        one.attributes.size() * sizeof(double)),
+            0);
+  // The updates reached the graph the engine serves.
+  EXPECT_NE(one.attributes, w.graph.attributes().values());
 }
 
 }  // namespace

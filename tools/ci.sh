@@ -92,7 +92,7 @@ matrix_targets=(checkpoint_test resilience_test graph_io_robustness_test
                 serve_snapshot_test serve_golden_test serve_chaos_test
                 watchdog_edge_test stream_test stream_chaos_test
                 kernels_test memory_planner_test parallel_kernels_test
-                losses_test graph_test sparse_test)
+                losses_test graph_test sparse_test train_loop_test)
 
 echo "== stage 2a: AddressSanitizer (fault + attack + serve + stream + storage tests) =="
 cmake -B "${prefix}-asan" -S . -DANECI_ASAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
